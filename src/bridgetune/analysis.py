@@ -17,7 +17,7 @@ import numpy as np
 from . import bridges
 from .autodiff import Tensor, no_grad
 from .backbone import HiddenTrace
-from .latent_map import MapNet, project_discrete
+from .latent_map import MapNet, bridge_quadratic
 
 
 def trace_from_arrays(h_out: np.ndarray, h_ctx: np.ndarray) -> HiddenTrace:
@@ -187,11 +187,6 @@ def bridge_distance(trace, mapnet: MapNet, spec: bridges.BridgeSpec):
     """Distance of the projected trace to the bridge: the variable part of
     the PDF goodness, negated. Returns (sum over layers, per-layer mean)."""
     with no_grad():
-        path = project_discrete(mapnet, trace)
-    total = 0.0
-    for t, u in path:
-        m = bridges.mean_coeff(spec, t) * spec.beta
-        v = bridges.marginal_variance(spec, t)
-        diff = u.data.reshape(-1) - m
-        total += float((diff * diff).sum()) / (2.0 * v)
-    return total, total / len(path)
+        quadratic, variances = bridge_quadratic(mapnet, trace, spec)
+    total = quadratic.item()
+    return total, total / len(variances)

@@ -270,15 +270,8 @@ def pretrain_mlm(config: ModelConfig, corpus, hyper: PretrainConfig) -> Backbone
     corpus = list(corpus)
     for _ in range(hyper.max_steps):
         idx = rng.integers(0, len(corpus), size=hyper.batch_size)
-        losses = []
-        for j in idx:
-            seq = corpus[j]
-            pos = int(rng.integers(0, len(seq)))
-            masked = list(seq)
-            target = masked[pos]
-            masked[pos] = MASK_ID
-            logits, _ = forward(state, masked, pos)
-            losses.append(ad.cross_entropy_with_logits(logits, target))
+        losses = [ad.cross_entropy_with_logits(forward(state, masked, pos)[0], target)
+                  for masked, target, pos in mlm_samples([corpus[j] for j in idx], rng)]
         loss = losses[0]
         for extra in losses[1:]:
             loss = ad.add(loss, extra)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -65,33 +66,41 @@ class PathSample:
     values: np.ndarray
 
 
-def drift(spec: BridgeSpec, t: float, x) -> np.ndarray:
-    """Bridge drift field at (t, x), valid strictly before the horizon."""
-    x = np.asarray(x, dtype=np.float64)
-    T = spec.horizon
-    if T - t < 1e-9:
-        raise HorizonBoundaryError(f"drift at t={t} within 1e-9 of horizon {T}")
-    if spec.kind == BROWNIAN:
-        return (spec.beta - x) / (T - t)
-    q = spec.q
-    s = q * (T - t)
-    return q * (-(1.0 / math.tanh(s)) * x + spec.beta / math.sinh(s))
-
-
-def mean_coeff(spec: BridgeSpec, t: float) -> float:
-    """Marginal mean of the bridge at t is mean_coeff(t) * beta."""
+def mean_coeff(spec: BridgeSpec, t):
+    """Marginal mean of the bridge at t is mean_coeff(t) * beta; t may be a
+    float or a numpy array of times."""
     if spec.kind == BROWNIAN:
         return t / spec.horizon
-    return math.sinh(spec.q * t) / math.sinh(spec.q * spec.horizon)
+    return np.sinh(spec.q * t) / math.sinh(spec.q * spec.horizon)
 
 
-def marginal_variance(spec: BridgeSpec, t: float) -> float:
-    """Per-coordinate marginal variance of the bridge at t."""
+def marginal_variance(spec: BridgeSpec, t):
+    """Per-coordinate marginal variance of the bridge at t (float or array)."""
     T = spec.horizon
     if spec.kind == BROWNIAN:
         return t * (T - t) / T
     q = spec.q
-    return (spec.sigma ** 2 / q) * math.sinh(q * (T - t)) * math.sinh(q * t) / math.sinh(q * T)
+    return (spec.sigma ** 2 / q) * np.sinh(q * (T - t)) * np.sinh(q * t) / math.sinh(q * T)
+
+
+def drift_coeffs(spec: BridgeSpec, t):
+    """(a, c) such that the bridge drift at (t, x) is a * x + c * beta; t
+    may be a float or a numpy array of times strictly before the horizon."""
+    T = spec.horizon
+    if spec.kind == BROWNIAN:
+        c = 1.0 / (T - t)
+        return -c, c
+    s = spec.q * (T - t)
+    return -spec.q / np.tanh(s), spec.q / np.sinh(s)
+
+
+def drift(spec: BridgeSpec, t: float, x) -> np.ndarray:
+    """Bridge drift field at (t, x), valid strictly before the horizon. x may
+    hold one state per row."""
+    if spec.horizon - t < 1e-9:
+        raise HorizonBoundaryError(f"drift at t={t} within 1e-9 of horizon {spec.horizon}")
+    a, c = drift_coeffs(spec, t)
+    return a * np.asarray(x, dtype=np.float64) + c * spec.beta
 
 
 def transition_logpdf(spec: BridgeSpec, t: float, x) -> float:
@@ -107,52 +116,44 @@ def transition_logpdf(spec: BridgeSpec, t: float, x) -> float:
                  - ((x - m) ** 2).sum() / (2.0 * v))
 
 
+def _euler_maruyama(spec: BridgeSpec, n_steps: int, n_paths: int, n_moves: int,
+                    rng: np.random.Generator, drift_fn=None):
+    """Euler-Maruyama from the zero state on the grid t_k = k T / n_steps
+    under drift_fn(t, x) (the bridge drift by default), with the bridge's
+    diffusion scale. Yields the (n_paths, r) states x_0 .. x_{n_moves}; each
+    move draws one standard normal per path and coordinate, path-major."""
+    if drift_fn is None:
+        drift_fn = partial(drift, spec)
+    dt = spec.horizon / n_steps
+    scale = spec.diffusion_scale() * math.sqrt(dt)
+    x = np.zeros((n_paths, spec.dim))
+    yield x
+    for k in range(n_moves):
+        x = x + drift_fn(k * dt, x) * dt + scale * rng.standard_normal(x.shape)
+        yield x
+
+
 def sample_path(spec: BridgeSpec, n_steps: int, rng: np.random.Generator) -> PathSample:
     """Euler-Maruyama on a uniform grid; the final value is set exactly to
     beta (the drift is singular at T, so the last step is pinning)."""
     if n_steps < 2:
         raise ValueError("n_steps must be at least 2")
-    T = spec.horizon
-    dt = T / n_steps
-    times = np.linspace(0.0, T, n_steps + 1)
     values = np.zeros((n_steps + 1, spec.dim))
-    sig = spec.diffusion_scale()
-    x = np.zeros(spec.dim)
-    for k in range(n_steps - 1):
-        noise = rng.standard_normal(spec.dim)
-        x = x + drift(spec, times[k], x) * dt + sig * math.sqrt(dt) * noise
-        values[k + 1] = x
+    for k, x in enumerate(_euler_maruyama(spec, n_steps, 1, n_steps - 1, rng)):
+        values[k] = x[0]
     values[n_steps] = spec.beta
-    return PathSample(times=times, values=values)
+    return PathSample(times=np.linspace(0.0, spec.horizon, n_steps + 1), values=values)
 
 
 def sample_paths_marginal(spec: BridgeSpec, n_steps: int, n_paths: int,
                           step_index: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized Euler-Maruyama over many paths, returning only the values
     at the grid index step_index (memory stays O(n_paths * r))."""
-    T = spec.horizon
-    dt = T / n_steps
-    sig = spec.diffusion_scale()
-    x = np.zeros((n_paths, spec.dim))
-    if step_index == 0:
-        return x
-    for k in range(min(step_index, n_steps - 1)):
-        t = k * dt
-        if spec.kind == BROWNIAN:
-            d = (spec.beta - x) / (T - t)
-        else:
-            s = spec.q * (T - t)
-            d = spec.q * (-(1.0 / math.tanh(s)) * x + spec.beta / math.sinh(s))
-        x = x + d * dt + sig * math.sqrt(dt) * rng.standard_normal(x.shape)
+    for x in _euler_maruyama(spec, n_steps, n_paths, min(step_index, n_steps - 1), rng):
+        pass
     if step_index >= n_steps:
-        return np.broadcast_to(spec.beta, (n_paths, spec.dim)).copy()
+        return np.broadcast_to(spec.beta, x.shape).copy()
     return x
-
-
-def discrete_log_goodness(spec: BridgeSpec, path) -> float:
-    """Sum of transition log-densities over (t_i, u_i) points (the additive
-    constant from the bridge definition is omitted throughout)."""
-    return float(sum(transition_logpdf(spec, t, u) for t, u in path))
 
 
 def kl_path_estimate(spec: BridgeSpec, drift_fn, n_steps: int, n_paths: int,
@@ -160,21 +161,20 @@ def kl_path_estimate(spec: BridgeSpec, drift_fn, n_steps: int, n_paths: int,
     """Girsanov KL between the path measure of dZ = drift_fn dt + sigma dB
     and the bridge, estimated by simulating Z under drift_fn and summing
     0.5 * ||sigma^-1 (drift_fn - bridge drift)||^2 * dt up to
-    t_max = T (1 - 1/n_steps), the hard truncation before the singularity."""
+    t_max = T (1 - 1/n_steps), the hard truncation before the singularity.
+    All paths move together: drift_fn(t, z) gets z of shape (n_paths, r)."""
     if n_steps < 2 or n_paths < 1:
         raise ValueError("need n_steps >= 2 and n_paths >= 1")
-    T = spec.horizon
-    dt = T / n_steps
+    dt = spec.horizon / n_steps
     sig = spec.diffusion_scale()
-    total = 0.0
-    for _ in range(n_paths):
-        z = np.zeros(spec.dim)
-        acc = 0.0
-        for k in range(n_steps - 1):
-            t = k * dt
-            g = np.asarray(drift_fn(t, z), dtype=np.float64)
-            u = (g - drift(spec, t, z)) / sig
-            acc += 0.5 * float((u * u).sum()) * dt
-            z = z + g * dt + sig * math.sqrt(dt) * rng.standard_normal(spec.dim)
-        total += acc
-    return total / n_paths
+    cost = np.zeros(n_paths)
+
+    def scored_drift(t, z):
+        g = np.asarray(drift_fn(t, z), dtype=np.float64)
+        u = (g - drift(spec, t, z)) / sig
+        cost[:] += 0.5 * (u * u).sum(axis=1) * dt
+        return g
+
+    for _ in _euler_maruyama(spec, n_steps, n_paths, n_steps - 1, rng, scored_drift):
+        pass
+    return float(cost.mean())

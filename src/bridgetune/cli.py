@@ -23,7 +23,8 @@ from .backbone import (ModelConfig, PretrainConfig, freeze, load_backbone,
 from .latent_map import (EndpointTable, FitMapConfig, build_endpoints,
                          fit_map, load_mapnet, save_mapnet)
 from .pets import PetConfig, load_pet
-from .pipeline import TrainConfig, evaluate, fewshot_split, run_training
+from .pipeline import (TrainConfig, evaluate, fewshot_split, run_training,
+                       write_csv)
 from .snapshot import SnapshotFormatError, load_snapshot
 from .tasks import (DataError, load_jsonl, make_pretrain_corpus,
                     make_task_dataset, write_jsonl)
@@ -47,6 +48,17 @@ def _dataclass_from(cls, section: dict, overrides: dict):
             if key in known and val is not None:
                 values[key] = val
     return cls(**values)
+
+
+def _int_at_least(low):
+    """argparse type: an int no smaller than low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
 
 
 def _load_config(path):
@@ -94,7 +106,6 @@ def _build_parser():
                    required=True)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--method", choices=["none", "pdf", "sde"], default=None)
-    p.add_argument("--bridge", choices=[bridges.BROWNIAN, bridges.OU], default=None)
     p.add_argument("--train", required=True, help="training JSONL")
     p.add_argument("--dev", required=True, help="dev JSONL")
     p.add_argument("--steps", type=int, default=None)
@@ -114,16 +125,16 @@ def _build_parser():
     p = sub.add_parser("fewshot", parents=[common],
                        help="build k-shot train/dev splits over several seeds")
     p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
+    p.add_argument("--seeds", type=_int_at_least(1), default=5)
 
     p = sub.add_parser("sample-bridge", parents=[common],
                        help="sample bridge paths to CSV")
     p.add_argument("--bridge", choices=[bridges.BROWNIAN, bridges.OU],
                    default=bridges.BROWNIAN)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--paths", type=int, default=3)
+    p.add_argument("--steps", type=_int_at_least(2), default=100)
+    p.add_argument("--paths", type=_int_at_least(1), default=3)
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=1.0)
 
@@ -197,22 +208,38 @@ def _cmd_fit_map(args):
     return 0
 
 
+def _map_bridge(header) -> dict:
+    """The bridge a map was fitted under, as TrainConfig fields."""
+    return {"bridge_kind": header.get("bridge_kind", bridges.BROWNIAN),
+            "q": header.get("q", 1.0), "sigma": header.get("sigma", 1.0)}
+
+
 def _cmd_train_pet(args):
     cfg_file = _load_config(args.config)
+    section = cfg_file.get("train", {})
     state = load_backbone(args.backbone)
     overrides = {
-        "alpha": args.alpha, "method": args.method, "bridge_kind": args.bridge,
+        "alpha": args.alpha, "method": args.method,
         "learning_rate": args.lr, "batch_size": args.batch_size,
         "max_steps": args.steps, "eval_every": args.eval_every,
         "seed": args.seed, "metric": args.metric,
     }
-    cfg = _dataclass_from(TrainConfig, cfg_file.get("train", {}), overrides)
+    mapnet = endpoints = header = None
+    if args.map is not None:
+        mapnet, endpoints, header = load_mapnet(args.map)
+        bridge = _map_bridge(header)
+        clash = {k: v for k, v in bridge.items() if k in section and section[k] != v}
+        if clash:
+            raise DataError(f"train config {clash} contradicts the bridge of "
+                            f"{args.map}: {bridge}")
+        overrides.update(bridge)
+    cfg = _dataclass_from(TrainConfig, section, overrides)
     pet_cfg = _dataclass_from(PetConfig, cfg_file.get("pet", {}),
                               {"kind": args.pet})
-    mapnet = endpoints = None
-    if args.map is not None:
-        mapnet, endpoints, _ = load_mapnet(args.map)
-    elif cfg.method != "none":
+    if header is not None and header.get("method") != cfg.method:
+        raise DataError(f"{args.map} was fitted for method {header.get('method')!r}, "
+                        f"not {cfg.method!r}")
+    if mapnet is None and cfg.method != "none":
         raise DataError(f"method {cfg.method!r} requires --map")
     train_set = load_jsonl(args.train)
     dev_set = load_jsonl(args.dev)
@@ -270,9 +297,10 @@ def _cmd_sample_bridge(args):
 
 def _cmd_analyze(args):
     _load_config(args.config)
-    mapnet = endpoints = header = None
+    mapnet = endpoints = None
     if args.map is not None:
         mapnet, endpoints, header = load_mapnet(args.map)
+        bridge = _map_bridge(header)
     rows = []
     for run in args.runs:
         cfg_path = os.path.join(run, "config.json")
@@ -293,9 +321,8 @@ def _cmd_analyze(args):
             if mapnet is not None:
                 trace = trace_from_arrays(h_out, tensors[f"s{i}.h_ctx"])
                 spec = bridges.BridgeSpec(
-                    kind=header.get("bridge_kind", bridges.BROWNIAN),
-                    beta=endpoints.row(label), horizon=1.0,
-                    q=header.get("q", 1.0), sigma=header.get("sigma", 1.0))
+                    kind=bridge["bridge_kind"], beta=endpoints.row(label),
+                    horizon=1.0, q=bridge["q"], sigma=bridge["sigma"])
                 total, per_layer = bridge_distance(trace, mapnet, spec)
                 dists.append((total, per_layer))
         row = {"run": run, "alpha": alpha,
@@ -307,12 +334,7 @@ def _cmd_analyze(args):
 
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "analyze.csv")
-    cols = list(rows[0].keys())
-    with open(out_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(cols) + "\n")
-        for row in rows:
-            f.write(",".join(repr(row[c]) if isinstance(row[c], float)
-                             else str(row[c]) for c in cols) + "\n")
+    write_csv(out_path, list(rows[0]), rows)
     print(f"wrote {out_path}")
 
     alphas = [row["alpha"] for row in rows]

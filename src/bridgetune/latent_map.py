@@ -21,15 +21,6 @@ from .backbone import BackboneState, HiddenTrace, forward
 from .snapshot import load_snapshot, save_snapshot
 from .spline import interp_weights
 
-# Full-scale reference presets (desk runs use the smaller values below).
-FULLSCALE_FITMAP_LR = 1e-3
-FULLSCALE_FITMAP_BATCH = 128
-FULLSCALE_FITMAP_GRAD_CLIP = 1.0
-FULLSCALE_FITMAP_WARMUP_RATIO = 0.01
-FULLSCALE_FITMAP_STEPS = {"pdf": 100_000, "sde": 500_000}
-FULLSCALE_MAPNET_DIMS = {"pdf": (1024, 256, 128), "sde": (1024, 256, 32)}
-
-
 class RankDeficientError(ValueError):
     """Embedding covariance has rank below the requested latent dimension."""
 
@@ -101,11 +92,6 @@ class MapNet:
                 h = ad.relu(h)
         return h
 
-    def drift(self, features: Tensor, z: Tensor) -> Tensor:
-        """SDE drift hook: the learned map ignores the current state z, but
-        the signature lets tests substitute the analytic bridge drift."""
-        return self.forward(features)
-
     def trainables(self):
         return self.weights + self.biases
 
@@ -143,22 +129,33 @@ def project_discrete(mapnet: MapNet, trace: HiddenTrace):
     return path
 
 
+def _knot_matrix(trace: HiddenTrace) -> Tensor:
+    """[H_out; H_ctx]: the (2d) x (L+1) matrix of MapNet inputs, one column
+    per trace entry."""
+    return ad.concat([ad.concat(trace.h_out, axis=1),
+                      ad.concat(trace.h_ctx, axis=1)], axis=0)
+
+
+def bridge_quadratic(mapnet: MapNet, trace: HiddenTrace, spec: bridges.BridgeSpec):
+    """The variable part of the PDF goodness, negated: the sum over latent
+    points u_i of ||u_i - m(t_i)||^2 / (2 v(t_i)), kept on the graph, and
+    the marginal variances v(t_i). One MapNet forward scores the whole path."""
+    times = np.asarray(latent_times(len(trace.h_out) - 1))
+    means = np.outer(spec.beta, bridges.mean_coeff(spec, times))
+    variances = bridges.marginal_variance(spec, times)
+    diff = ad.sub(mapnet.forward(_knot_matrix(trace)), Tensor(means))
+    weighted = ad.elementwise_mul(ad.square(diff), Tensor(0.5 / variances.reshape(1, -1)))
+    return ad.tensor_sum(weighted), variances
+
+
 def goodness_pdf(mapnet: MapNet, trace: HiddenTrace, spec: bridges.BridgeSpec) -> Tensor:
     """Sum over latent points of the bridge marginal log-density, kept on
     the autodiff graph (differentiable in gamma and in the trace)."""
     if spec.horizon != 1.0:
         raise ValueError("pipeline bridges are fixed to horizon 1")
-    r = spec.dim
-    total = None
-    for t, u in project_discrete(mapnet, trace):
-        m = bridges.mean_coeff(spec, t) * spec.beta
-        v = bridges.marginal_variance(spec, t)
-        diff = ad.sub(u, Tensor(m.reshape(-1, 1)))
-        term = ad.scalar_mul(ad.tensor_sum(ad.square(diff)), -1.0 / (2.0 * v))
-        const = Tensor(np.asarray(-0.5 * r * math.log(2.0 * math.pi * v)))
-        term = ad.add(term, const)
-        total = term if total is None else ad.add(total, term)
-    return total
+    quadratic, variances = bridge_quadratic(mapnet, trace, spec)
+    log_norm = -0.5 * spec.dim * np.log(2.0 * math.pi * variances).sum()
+    return ad.sub(Tensor(log_norm), quadratic)
 
 
 @lru_cache(maxsize=32)
@@ -179,43 +176,30 @@ def goodness_sde(mapnet, trace: HiddenTrace, spec: bridges.BridgeSpec,
     bridge's diffusion scale; the running integrand 0.5 ||u||^2 dt with
     u = sigma^-1 (g - bridge drift) accumulates up to t_max = 1 - 1/n_steps.
     Differentiable through g and through the spline-interpolated trace.
+
+    g does not depend on Z, so one MapNet forward gives the drift G at all
+    n_steps - 1 grid times, and the Euler-Maruyama states are cumulative
+    sums: column k of Z is the sum over j < k of g_j dt + noise_j.
     """
     if n_steps < 4:
         raise ValueError("n_steps must be at least 4")
     if spec.horizon != 1.0:
         raise ValueError("pipeline bridges are fixed to horizon 1")
-    L = len(trace.h_out) - 1
-    W = _spline_feature_weights(L, n_steps)
-    H_o = ad.concat(trace.h_out, axis=1)
-    H_c = ad.concat(trace.h_ctx, axis=1)
-    r = spec.dim
+    W = _spline_feature_weights(len(trace.h_out) - 1, n_steps)
     sig = spec.diffusion_scale()
     dt = 1.0 / n_steps
-    noise = rng.standard_normal((n_steps - 1, r)) * (sig * math.sqrt(dt))
-
-    z = Tensor(np.zeros((r, 1)))
-    beta_col = spec.beta.reshape(-1, 1)
-    total = None
-    for k in range(n_steps - 1):
-        t = k * dt
-        w = Tensor(W[k].reshape(-1, 1))
-        feats = ad.concat([ad.matmul(H_o, w), ad.matmul(H_c, w),
-                           Tensor(np.asarray([[t]]))], axis=0)
-        g = mapnet.drift(feats, z)
-        if spec.kind == bridges.BROWNIAN:
-            b = ad.scalar_mul(ad.sub(Tensor(beta_col), z), 1.0 / (1.0 - t))
-        else:
-            s = spec.q * (1.0 - t)
-            coef = -spec.q / math.tanh(s)
-            offset = spec.q * beta_col / math.sinh(s)
-            b = ad.add(ad.scalar_mul(z, coef), Tensor(offset))
-        u = ad.scalar_mul(ad.sub(g, b), 1.0 / sig)
-        term = ad.scalar_mul(ad.tensor_sum(ad.square(u)), 0.5 * dt)
-        total = term if total is None else ad.add(total, term)
-        if k < n_steps - 2:
-            z = ad.add(ad.add(z, ad.scalar_mul(g, dt)),
-                       Tensor(noise[k].reshape(-1, 1)))
-    return total
+    noise = rng.standard_normal((n_steps - 1, spec.dim)) * (sig * math.sqrt(dt))
+    times = np.arange(n_steps - 1) * dt
+    features = ad.concat([ad.matmul(_knot_matrix(trace), Tensor(W.T)),
+                          Tensor(times.reshape(1, -1))], axis=0)
+    G = mapnet.forward(features)
+    cumsum = np.triu(np.ones((n_steps - 1, n_steps - 1)), k=1)
+    Z = ad.add(ad.matmul(ad.scalar_mul(G, dt), Tensor(cumsum)), Tensor(noise.T @ cumsum))
+    a, c = bridges.drift_coeffs(spec, times)
+    B = ad.add(ad.elementwise_mul(Z, Tensor(a.reshape(1, -1))),
+               Tensor(np.outer(spec.beta, c)))
+    kl = ad.tensor_sum(ad.square(ad.sub(G, B)))
+    return ad.scalar_mul(kl, 0.5 * dt / sig ** 2)
 
 
 @dataclass(frozen=True)

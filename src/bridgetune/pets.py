@@ -170,12 +170,6 @@ class AdapterParams(PetParams):
         return adapter_forward(h, wd, wu)
 
 
-def bitfit_trainables(state: BackboneState) -> dict:
-    """Cloned bias tensors, the exact trainable set for BitFit."""
-    return {name: Tensor(state[name].data.copy(), requires_grad=True)
-            for name in bias_names(state.config)}
-
-
 def build_pet(config: PetConfig, state: BackboneState,
               rng: np.random.Generator) -> PetParams:
     if config.kind == "prompt":

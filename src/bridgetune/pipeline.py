@@ -24,16 +24,6 @@ from .pets import PetConfig, build_pet, save_pet
 from .snapshot import save_snapshot
 from .tasks import DataError, TaskSample
 
-# Full-scale alpha search grids (desk runs use smaller grids).
-FULLSCALE_ALPHA_GRID_PDF = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-FULLSCALE_ALPHA_GRID_SDE = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
-
-# Full-scale few-shot schedule: 1k steps, dev eval every 50, batch 2.
-FULLSCALE_FEWSHOT_MAX_STEPS = 1000
-FULLSCALE_FEWSHOT_EVAL_EVERY = 50
-FULLSCALE_FEWSHOT_BATCH_SIZE = 2
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     alpha: float = 0.0
@@ -201,11 +191,12 @@ def train_pet(state: BackboneState, pet_cfg: PetConfig, mapnet, endpoints,
     return pet, history, {"best_dev_metric": best_metric, "best_step": best_step}
 
 
-def write_metrics_csv(path, history) -> None:
-    cols = ("step", "train_loss", "terminal_loss", "running_cost", "dev_metric")
+def write_csv(path, cols, rows) -> None:
+    """rows are dicts keyed by cols; floats are written with repr, so they
+    round-trip exactly."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(cols) + "\n")
-        for row in history:
+        for row in rows:
             f.write(",".join(repr(row[c]) if isinstance(row[c], float)
                              else str(row[c]) for c in cols) + "\n")
 
@@ -242,7 +233,9 @@ def run_training(out_dir, state: BackboneState, pet_cfg: PetConfig, mapnet,
     }
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
         json.dump(record, f, indent=2, sort_keys=True)
-    write_metrics_csv(os.path.join(out_dir, "metrics.csv"), history)
+    write_csv(os.path.join(out_dir, "metrics.csv"),
+              ("step", "train_loss", "terminal_loss", "running_cost", "dev_metric"),
+              history)
     save_pet(os.path.join(out_dir, "pet.bin"), pet)
     probe = probe_set if probe_set is not None else dev_set
     dump_probe_traces(os.path.join(out_dir, "probe.bin"), state, pet, probe,

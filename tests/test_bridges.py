@@ -115,6 +115,36 @@ def test_density_matches_gaussian_closed_form():
                     expect, abs=1e-12)
 
 
+def test_transition_logpdf_maximized_on_mean_curve():
+    spec = brownian(beta=2.0)
+    rng = np.random.default_rng(4)
+    for t in (0.2, 0.4, 0.6, 0.8):
+        on_mean = bridges.mean_coeff(spec, t) * 2.0
+        best = bridges.transition_logpdf(spec, t, [on_mean])
+        expect = -0.5 * math.log(2 * math.pi * bridges.marginal_variance(spec, t))
+        assert best == pytest.approx(expect, abs=1e-12)
+        for _ in range(10):
+            off = on_mean + rng.standard_normal() * 0.3
+            assert bridges.transition_logpdf(spec, t, [off]) <= best
+
+
+@pytest.mark.parametrize("make", [brownian, ou])
+def test_coefficients_accept_time_arrays(make):
+    # one time per call and all times at once agree; the drift is a x + c beta
+    spec = make(beta=[0.8, -1.2])
+    ts = np.array([0.05, 0.3, 0.5, 0.95])
+    means = bridges.mean_coeff(spec, ts)
+    variances = bridges.marginal_variance(spec, ts)
+    a, c = bridges.drift_coeffs(spec, ts)
+    x = np.array([0.4, 0.1])
+    for i, t in enumerate(ts):
+        assert means[i] == pytest.approx(bridges.mean_coeff(spec, t), rel=1e-15)
+        assert variances[i] == pytest.approx(bridges.marginal_variance(spec, t),
+                                             rel=1e-15)
+        assert np.allclose(bridges.drift(spec, t, x), a[i] * x + c[i] * spec.beta,
+                           rtol=1e-15, atol=0.0)
+
+
 # ---------------------------------------------------------------- sampling
 
 def test_sample_path_pins_both_ends():
@@ -176,31 +206,6 @@ def test_ou_mean_solves_bridge_ode():
         assert dm == pytest.approx(rhs, abs=1e-5)
     assert bridges.mean_coeff(spec, 0.0) == 0.0
     assert bridges.mean_coeff(spec, 1.0) == pytest.approx(1.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------- goodness
-
-def test_discrete_log_goodness_empty_is_zero():
-    assert bridges.discrete_log_goodness(brownian(), []) == 0.0
-
-
-def test_discrete_log_goodness_single_point():
-    got = bridges.discrete_log_goodness(brownian(beta=2.0), [(0.5, [1.0])])
-    assert got == pytest.approx(-0.2258, abs=5e-5)
-
-
-def test_discrete_log_goodness_maximized_on_mean_curve():
-    spec = brownian(beta=2.0)
-    ts = [0.2, 0.4, 0.6, 0.8]
-    on_mean = [(t, [bridges.mean_coeff(spec, t) * 2.0]) for t in ts]
-    best = bridges.discrete_log_goodness(spec, on_mean)
-    expect = sum(-0.5 * math.log(2 * math.pi * bridges.marginal_variance(spec, t))
-                 for t in ts)
-    assert best == pytest.approx(expect, abs=1e-12)
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        off = [(t, [u[0] + rng.standard_normal() * 0.3]) for t, u in on_mean]
-        assert bridges.discrete_log_goodness(spec, off) <= best
 
 
 # ---------------------------------------------------------------- KL

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from bridgetune.cli import cli
-from bridgetune.latent_map import load_mapnet
+from bridgetune.latent_map import load_mapnet, save_mapnet
 from bridgetune.tasks import load_jsonl
 
 # ------------------------------------------------------------------ exit codes
@@ -70,6 +70,25 @@ def test_bad_config_json_exits_2(tmp_path, capsys):
 def test_help_exits_0(capsys):
     assert cli(["--help"]) == 0
     assert "subcommand" in capsys.readouterr().out.lower() or True
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample-bridge", "--steps", "1"],
+    ["sample-bridge", "--paths", "0"],
+    ["fewshot", "--k", "0"],
+    ["fewshot", "--k", "2", "--seeds", "0"],
+], ids=["sample-bridge-steps", "sample-bridge-paths", "fewshot-k",
+        "fewshot-seeds"])
+def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
+                                                          capsys):
+    assert cli(["make-task", "--per-class", "4", "--out", str(tmp_path)]) == 0
+    if argv[0] == "fewshot":
+        argv = argv + ["--data", str(tmp_path / "task.jsonl")]
+    out = tmp_path / "out"
+    assert cli(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err.lower() and "must be at least" in err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- sample-bridge
@@ -231,6 +250,42 @@ def test_train_pet_config_file_overrides(world_dir, cli_run, tmp_path):
     record = json.loads((out / "config.json").read_text())
     assert record["train"]["max_steps"] == 10
     assert record["train"]["eval_every"] == 5
+
+
+def test_train_pet_map_of_other_method_exits_2(world_dir, cli_run, tmp_path,
+                                               capsys):
+    out = tmp_path / "run"
+    rc = cli(_train_args(world_dir, cli_run["data"], out, "--method", "pdf",
+                         "--alpha", "0.1", "--map", str(world_dir / "map-sde.bin")))
+    assert rc == 2
+    assert "fitted for method 'sde', not 'pdf'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_pet_config_bridge_contradicting_map_exits_2(world_dir, cli_run,
+                                                           tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"bridge_kind": "ou"}}))
+    out = tmp_path / "run"
+    rc = cli(_train_args(world_dir, cli_run["data"], out, "--method", "pdf",
+                         "--alpha", "0.1", "--map", str(world_dir / "map-pdf.bin"),
+                         "--config", str(cfg)))
+    assert rc == 2
+    assert "contradicts the bridge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_pet_takes_bridge_from_map(world, world_dir, cli_run, tmp_path):
+    ou_map = tmp_path / "map-ou.bin"
+    save_mapnet(ou_map, world.pdf_map, "pdf", world.endpoints,
+                bridge_kind="ou", q=1.5, sigma=0.9)
+    args = _train_args(world_dir, cli_run["data"], tmp_path / "run",
+                       "--method", "pdf", "--alpha", "0.1", "--map", str(ou_map))
+    assert cli(args + ["--bridge", "brownian"]) == 1  # the map decides
+    assert cli(args) == 0
+    record = json.loads((tmp_path / "run" / "config.json").read_text())
+    assert record["train"]["bridge_kind"] == "ou"
+    assert record["train"]["q"] == 1.5 and record["train"]["sigma"] == 0.9
 
 
 def test_eval_prints_metric(world_dir, cli_run, capsys):

@@ -15,11 +15,8 @@ import bridgetune.autodiff as ad
 from bridgetune import bridges
 from bridgetune.autodiff import Tensor
 from bridgetune.backbone import HiddenTrace, checksum
-from bridgetune.latent_map import (FULLSCALE_FITMAP_BATCH, FULLSCALE_FITMAP_GRAD_CLIP,
-                                   FULLSCALE_FITMAP_LR, FULLSCALE_FITMAP_STEPS,
-                                   FULLSCALE_FITMAP_WARMUP_RATIO,
-                                   FULLSCALE_MAPNET_DIMS, FitMapConfig, MapNet,
-                                   RankDeficientError, build_endpoints,
+from bridgetune.latent_map import (FitMapConfig, RankDeficientError,
+                                   _spline_feature_weights, build_endpoints,
                                    fit_map, goodness_pdf, goodness_sde,
                                    latent_times, load_mapnet, new_mapnet,
                                    project_discrete, save_mapnet)
@@ -279,62 +276,51 @@ def test_goodness_sde_finite_difference(trial):
 
 # ------------------------------------------------------------- goodness (sde)
 
-class _AnalyticDriftNet(MapNet):
-    """Drift wired to the exact bridge drift of `spec` plus a constant
-    offset, read off the simulated state z; the network itself is unused."""
+def _numpy_mapnet(net, x):
+    h = x
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = w.data @ h + b.data
+        if i < len(net.weights) - 1:
+            h = np.maximum(h, 0.0)
+    return h
 
-    def __init__(self, base: MapNet, spec: bridges.BridgeSpec, offset=0.0):
-        super().__init__(weights=base.weights, biases=base.biases,
-                         dims=base.dims, time_augmented=base.time_augmented)
-        self._spec = spec
-        self._offset = offset
 
-    def drift(self, features: Tensor, z: Tensor) -> Tensor:
-        t = float(features.data[-1, 0])  # time channel
-        spec = self._spec
-        beta_col = Tensor(spec.beta.reshape(-1, 1))
-        if spec.kind == bridges.BROWNIAN:
-            b = ad.scalar_mul(ad.sub(beta_col, z), 1.0 / (1.0 - t))
-        else:
-            s = spec.q * (1.0 - t)
-            b = ad.add(ad.scalar_mul(z, -spec.q / math.tanh(s)),
-                       Tensor(spec.q * spec.beta.reshape(-1, 1) / math.sinh(s)))
-        if self._offset:
-            b = ad.add(b, Tensor(np.full_like(z.data, self._offset)))
-        return b
+def _sequential_sde_reference(net, trace, spec, n, rng):
+    """Step-by-step Euler-Maruyama on plain arrays with the bridge drift of
+    bridges.drift, drawing the noise exactly as goodness_sde does."""
+    r = spec.dim
+    sig = spec.diffusion_scale()
+    dt = 1.0 / n
+    noise = rng.standard_normal((n - 1, r)) * (sig * math.sqrt(dt))
+    W = _spline_feature_weights(len(trace.h_out) - 1, n)
+    H_o = np.hstack([t.data for t in trace.h_out])
+    H_c = np.hstack([t.data for t in trace.h_ctx])
+    z = np.zeros(r)
+    total = 0.0
+    for k in range(n - 1):
+        t = k * dt
+        feats = np.concatenate([H_o @ W[k], H_c @ W[k], [t]])
+        g = _numpy_mapnet(net, feats.reshape(-1, 1))[:, 0]
+        u = (g - bridges.drift(spec, t, z)) / sig
+        total += 0.5 * dt * float(u @ u)
+        z = z + g * dt + noise[k]
+    return total
 
 
 @pytest.mark.parametrize("kind", [bridges.BROWNIAN, bridges.OU])
-def test_goodness_sde_zero_for_exact_bridge_drift(kind):
-    rng = np.random.default_rng(8)
-    base = _tiny_mapnet(rng, sde=True)
-    trace = _tiny_trace(rng)
-    spec = bridges.BridgeSpec(kind=kind, beta=np.array([0.4, -0.2]), q=1.3)
-    net = _AnalyticDriftNet(base, spec)
-    val = goodness_sde(net, trace, spec, 16, np.random.default_rng(0)).item()
-    assert abs(val) < 1e-6
-
-
-def test_goodness_sde_constant_offset_quadruples():
-    # u = c/sigma is constant when the drift is bridge + c, so the KL is
-    # exactly (c^2/2) * (1 - 1/n); doubling c quadruples it bit-exactly.
-    rng = np.random.default_rng(9)
-    base = _tiny_mapnet(rng, sde=True)
-    trace = _tiny_trace(rng)
-    spec = bridges.BridgeSpec(kind=bridges.BROWNIAN, beta=np.array([0.1, 0.3]))
-    n = 8
-    r = 2
-
-    def kl(c):
-        net = _AnalyticDriftNet(base, spec, offset=c)
-        return goodness_sde(net, trace, spec, n, np.random.default_rng(1)).item()
-
-    one = kl(0.5)
-    two = kl(1.0)
-    # (bridge + c) - bridge reintroduces rounding at the ulp level, so the
-    # comparison is near-exact rather than bitwise.
-    assert two == pytest.approx(4.0 * one, rel=1e-12)
-    assert one == pytest.approx(r * 0.5 * 0.25 * (1 - 1 / n), rel=1e-12)
+def test_goodness_sde_matches_sequential_euler_reference(kind):
+    for trial in range(5):
+        rng = np.random.default_rng(300 + trial)
+        net = _tiny_mapnet(rng, d=4, r=3, sde=True)
+        trace = _tiny_trace(rng, L=3, d=4)
+        spec = bridges.BridgeSpec(kind=kind, beta=rng.normal(size=3),
+                                  q=float(rng.uniform(0.3, 2.0)),
+                                  sigma=float(rng.uniform(0.5, 1.5)))
+        n = int(rng.integers(4, 20))
+        got = goodness_sde(net, trace, spec, n, np.random.default_rng(trial)).item()
+        want = _sequential_sde_reference(net, trace, spec, n,
+                                         np.random.default_rng(trial))
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_goodness_sde_validation():
@@ -446,15 +432,3 @@ def test_mapnet_save_load_round_trip(world, tmp_path):
 def test_load_mapnet_rejects_other_snapshots(world_dir):
     with pytest.raises(ValueError, match="not a map snapshot"):
         load_mapnet(world_dir / "backbone.bin")
-
-
-# ----------------------------------------------------- full-scale constants
-
-def test_fullscale_fitmap_presets():
-    assert FULLSCALE_FITMAP_LR == 1e-3
-    assert FULLSCALE_FITMAP_BATCH == 128
-    assert FULLSCALE_FITMAP_GRAD_CLIP == 1.0
-    assert FULLSCALE_FITMAP_WARMUP_RATIO == 0.01
-    assert FULLSCALE_FITMAP_STEPS == {"pdf": 100_000, "sde": 500_000}
-    assert FULLSCALE_MAPNET_DIMS == {"pdf": (1024, 256, 128),
-                                 "sde": (1024, 256, 32)}

@@ -9,7 +9,7 @@ from bridgetune.backbone import (MASK_ID, ModelConfig, checksum, forward,
 from bridgetune.pets import (PET_KINDS, AdapterParams, BitfitParams,
                              LoraParams, PetConfig, PromptLengthError,
                              PromptParams, adapter_forward, attach_prompt,
-                             bitfit_trainables, build_pet, load_pet,
+                             build_pet, load_pet,
                              lora_forward, save_pet)
 
 
@@ -198,8 +198,8 @@ def test_training_leaves_backbone_untouched(frozen, kind):
     assert checksum(frozen) == before
 
 
-def test_bitfit_trainables_are_clones(frozen):
-    table = bitfit_trainables(frozen)
+def test_bitfit_params_are_clones(frozen):
+    table = _pet("bitfit", frozen).tensors
     assert len(table) == 8 * frozen.config.num_layers
     for name, t in table.items():
         assert t.requires_grad

@@ -14,12 +14,9 @@ from bridgetune import bridges
 from bridgetune.backbone import checksum, forward
 from bridgetune.latent_map import goodness_pdf
 from bridgetune.pets import PetConfig, build_pet, load_pet
-from bridgetune.pipeline import (FULLSCALE_ALPHA_GRID_PDF, FULLSCALE_ALPHA_GRID_SDE,
-                                 FULLSCALE_FEWSHOT_BATCH_SIZE,
-                                 FULLSCALE_FEWSHOT_EVAL_EVERY,
-                                 FULLSCALE_FEWSHOT_MAX_STEPS, TrainConfig,
-                                 evaluate, fewshot_split, run_training,
-                                 total_loss, train_pet, write_metrics_csv)
+from bridgetune.pipeline import (TrainConfig, evaluate, fewshot_split,
+                                 run_training, total_loss, train_pet,
+                                 write_csv)
 from bridgetune.snapshot import load_snapshot
 from bridgetune.tasks import DataError, TaskSample, make_task_dataset
 
@@ -308,7 +305,8 @@ def test_write_metrics_csv_round_trip(tmp_path):
          "running_cost": 0.0125, "dev_metric": 0.75},
     ]
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, history)
+    write_csv(path, ("step", "train_loss", "terminal_loss", "running_cost",
+                     "dev_metric"), history)
     lines = path.read_text().splitlines()
     assert lines[0] == "step,train_loss,terminal_loss,running_cost,dev_metric"
     assert len(lines) == 3
@@ -356,24 +354,20 @@ def test_run_training_artifacts(world, tmp_path):
     assert len(csv_lines) == 1 + len(history)
 
 
-# ------------------------------------------------------ full-scale constants
-
-def test_fullscale_alpha_grids():
-    assert FULLSCALE_ALPHA_GRID_PDF == (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6,
-                                    0.7, 0.8, 0.9, 1.0)
-    assert FULLSCALE_ALPHA_GRID_SDE == (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05,
-                                    0.1, 0.2, 0.5, 1.0)
-    assert all(a > 0 for a in FULLSCALE_ALPHA_GRID_PDF + FULLSCALE_ALPHA_GRID_SDE)
-
+# ------------------------------------------------------ few-shot schedule
 
 def test_fullscale_fewshot_schedule():
-    assert FULLSCALE_FEWSHOT_MAX_STEPS == 1000
-    assert FULLSCALE_FEWSHOT_EVAL_EVERY == 50
-    assert FULLSCALE_FEWSHOT_BATCH_SIZE == 2
+    # 1k steps with a dev eval every 50: 20 evaluations, the last on step 1000.
+    cfg = TrainConfig()
+    evals = [s for s in range(1, cfg.max_steps + 1) if s % cfg.eval_every == 0]
+    assert len(evals) == 20
+    assert evals[-1] == cfg.max_steps == 1000
+    assert cfg.batch_size == 2
 
 
 def test_default_train_config_matches_schedule():
+    # The full-scale few-shot schedule: 1k steps, dev eval every 50, batch 2.
     cfg = TrainConfig()
-    assert cfg.max_steps == FULLSCALE_FEWSHOT_MAX_STEPS
-    assert cfg.eval_every == FULLSCALE_FEWSHOT_EVAL_EVERY
-    assert cfg.batch_size == FULLSCALE_FEWSHOT_BATCH_SIZE
+    assert cfg.max_steps == 1000
+    assert cfg.eval_every == 50
+    assert cfg.batch_size == 2
