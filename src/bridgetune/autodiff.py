@@ -76,7 +76,7 @@ class GraphNode:
     """One recorded op: its kind, parent tensors, and the local grad rule.
 
     grad_fn maps the output gradient (ndarray) to a tuple of parent
-    gradients (ndarray or None), aligned with parents.
+    gradients, aligned with parents: None for a parent that needs none.
     """
 
     __slots__ = ("op_kind", "parents", "grad_fn")
@@ -120,7 +120,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def grad_fn(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _make("matmul", [a, b], out, grad_fn)
 
@@ -132,7 +133,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(f"add: shapes {a.data.shape} and {b.data.shape}")
 
     def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _make("add", [a, b], out, grad_fn)
 
@@ -144,7 +146,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(f"sub: shapes {a.data.shape} and {b.data.shape}")
 
     def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
 
     return _make("sub", [a, b], out, grad_fn)
 
@@ -162,7 +165,8 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
             f"elementwise_mul: shapes {a.data.shape} and {b.data.shape}")
 
     def grad_fn(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _make("elementwise_mul", [a, b], out, grad_fn)
 
@@ -371,7 +375,8 @@ def backward(root: Tensor) -> dict:
         stack.append((t, True))
         if t.node is not None:
             for p in t.node.parents:
-                stack.append((p, False))
+                if p.requires_grad:
+                    stack.append((p, False))
 
     grads = {root.node_id: np.ones_like(root.data)}
     for t in reversed(topo):

@@ -40,14 +40,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dataclass_from(cls, section: dict, overrides: dict):
-    """Defaults, then config-file section, then explicit CLI overrides."""
+    """Defaults, then config-file section, then explicit CLI overrides; a
+    value the dataclass rejects is a DataError."""
     values = {}
     known = {f.name for f in fields(cls)}
     for src in (section, overrides):
         for key, val in src.items():
             if key in known and val is not None:
                 values[key] = val
-    return cls(**values)
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as e:
+        raise DataError(f"bad {cls.__name__} value: {e}") from e
 
 
 def _int_at_least(low):
@@ -108,10 +112,10 @@ def _build_parser():
     p.add_argument("--method", choices=["none", "pdf", "sde"], default=None)
     p.add_argument("--train", required=True, help="training JSONL")
     p.add_argument("--dev", required=True, help="dev JSONL")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--steps", type=_int_at_least(1), default=None)
+    p.add_argument("--batch-size", type=_int_at_least(1), default=None)
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--eval-every", type=int, default=None)
+    p.add_argument("--eval-every", type=_int_at_least(1), default=None)
     p.add_argument("--metric", choices=["accuracy", "f1", "matthews"], default=None)
 
     p = sub.add_parser("eval", parents=[common],

@@ -119,16 +119,6 @@ def latent_times(num_layers: int):
     return [(i + 1) / (L + 2) for i in range(L + 1)]
 
 
-def project_discrete(mapnet: MapNet, trace: HiddenTrace):
-    """LatentPath: (t_i, u_i) with u_i = g([h_o; h_bar]) per trace entry."""
-    times = latent_times(len(trace.h_out) - 1)
-    path = []
-    for t, ho, hc in zip(times, trace.h_out, trace.h_ctx):
-        u = mapnet.forward(ad.concat([ho, hc], axis=0))
-        path.append((t, u))
-    return path
-
-
 def _knot_matrix(trace: HiddenTrace) -> Tensor:
     """[H_out; H_ctx]: the (2d) x (L+1) matrix of MapNet inputs, one column
     per trace entry."""

@@ -18,11 +18,11 @@ import numpy as np
 from . import autodiff as ad
 from . import bridges
 from .autodiff import Tensor
-from .backbone import BackboneState, forward
+from .backbone import BackboneState, forward, mask_logits
 from .latent_map import goodness_pdf, goodness_sde
 from .pets import PetConfig, build_pet, save_pet
 from .snapshot import save_snapshot
-from .tasks import DataError, TaskSample
+from .tasks import DataError
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -45,6 +45,9 @@ class TrainConfig:
             raise ValueError(f"method must be none, pdf or sde, got {self.method!r}")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
+        for name in ("batch_size", "max_steps", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 def total_loss(logits: Tensor, label_word: int, trace, mapnet, endpoints,
@@ -90,12 +93,12 @@ def fewshot_split(dataset, k: int, seed: int):
     return train, dev
 
 
-def predict(state: BackboneState, pet, sample: TaskSample, label_words):
-    """Argmax over the task's label words at the mask position."""
-    with ad.no_grad():
-        logits, _ = forward(state, sample.tokens, sample.mask_position, pet=pet)
-    flat = logits.data.reshape(-1)
-    return max(label_words, key=lambda w: flat[w])
+def predict(state: BackboneState, pet, samples, label_words):
+    """Per sample, the argmax over the task's label words at the mask
+    position (the first of tied words)."""
+    words = list(label_words)
+    logits = mask_logits(state, [(s.tokens, s.mask_position) for s in samples], pet)
+    return [words[j] for j in np.argmax(logits[words], axis=0)]
 
 
 def evaluate(state: BackboneState, pet, dataset, metric: str = "accuracy",
@@ -108,7 +111,7 @@ def evaluate(state: BackboneState, pet, dataset, metric: str = "accuracy",
         label_words = sorted({s.label_word for s in dataset})
     if metric in ("f1", "matthews") and len(label_words) != 2:
         raise DataError(f"{metric} needs binary labels, got {len(label_words)}")
-    preds = [predict(state, pet, s, label_words) for s in dataset]
+    preds = predict(state, pet, dataset, label_words)
     truths = [s.label_word for s in dataset]
     if metric == "accuracy":
         return sum(p == t for p, t in zip(preds, truths)) / len(truths)

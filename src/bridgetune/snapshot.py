@@ -13,6 +13,7 @@ Layout, all integers little-endian:
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -60,17 +61,29 @@ def load_snapshot(path):
         return chunk
 
     (hlen,) = struct.unpack("<I", take(4))
-    header = json.loads(take(hlen).decode("utf-8"))
+    text = take(hlen)
+    try:
+        header = json.loads(text.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+        raise SnapshotFormatError(f"{path}: header is not UTF-8 JSON ({e})") from e
+    if not isinstance(header, dict):
+        raise SnapshotFormatError(f"{path}: header is a {type(header).__name__}, not an object")
     (count,) = struct.unpack("<I", take(4))
     tensors = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<H", take(2))
-        name = take(nlen).decode("utf-8")
+        raw = take(nlen)
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise SnapshotFormatError(f"{path}: record name is not UTF-8 ({e})") from e
         (ndim,) = struct.unpack("<B", take(1))
-        shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape)
-        tensors[name] = data.astype(np.float64)
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            tensors[name] = data.reshape(shape).astype(np.float64)
+        except ValueError as e:  # more dimensions than numpy allows
+            raise SnapshotFormatError(f"{path}: record {name!r}: {e}") from e
     if off != len(blob):
         raise SnapshotFormatError(f"{path}: {len(blob) - off} trailing bytes")
     return header, tensors

@@ -219,6 +219,18 @@ def test_backward_skips_non_grad_leaves(rng):
     assert b.node_id not in grads
 
 
+@pytest.mark.parametrize("op", [ad.matmul, ad.add, ad.sub, ad.elementwise_mul])
+def test_binary_grad_rules_skip_frozen_parents(rng, op):
+    # A frozen parent gets no gradient computed, on either side.
+    frozen = ad.Tensor(rng.standard_normal((3, 3)))
+    for trainable_first in (True, False):
+        x = ad.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        out = op(x, frozen) if trainable_first else op(frozen, x)
+        grads = out.node.grad_fn(np.ones((3, 3)))
+        assert (grads[1] is None) == trainable_first
+        assert (grads[0] is None) != trainable_first
+
+
 def test_no_grad_suppresses_graph(rng):
     a = ad.Tensor(rng.standard_normal((2, 2)), requires_grad=True)
     with ad.no_grad():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import bridgetune.autodiff as ad
-from bridgetune.backbone import (MASK_ID, ModelConfig, PretrainConfig,
-                                 bias_names, checksum, embed, forward, freeze,
-                                 init_backbone, load_backbone, masked_accuracy,
-                                 mlm_samples, param_count, pretrain_mlm,
-                                 save_backbone)
+from bridgetune.backbone import (MASK_ID, PACK_COLUMNS, ModelConfig,
+                                 PretrainConfig, bias_names, checksum, embed,
+                                 forward, freeze, init_backbone, load_backbone,
+                                 mask_logits, masked_accuracy, mlm_samples,
+                                 param_count, pretrain_mlm, save_backbone)
+from bridgetune.pets import PET_KINDS, PetConfig, PromptLengthError, build_pet
 from bridgetune.tasks import make_pretrain_corpus
 
 
@@ -183,3 +184,85 @@ def test_forward_is_deterministic(tiny):
         a, _ = forward(state, [1, 2, 3], 1)
         b, _ = forward(state, [1, 2, 3], 1)
     assert np.array_equal(a.data, b.data)
+
+
+# ------------------------------------------------------------ packed inference
+
+# Mixed lengths; 24 tokens plus the default 8 prompt columns fill
+# max_seq_len = 32, and the total spans several packs.
+PACK_LENGTHS = (4, 24, 9, 13, 2, 17, 24, 6, 11, 20, 3, 15)
+
+
+@pytest.fixture(scope="module")
+def packed_world():
+    """A random backbone with weights large enough that attention is far
+    from uniform, and a sample of every PACK_LENGTHS length."""
+    state = freeze(init_backbone(ModelConfig(), np.random.default_rng(20)))
+    for t in state.tensors.values():
+        t.data *= 10.0
+    rng = np.random.default_rng(21)
+    inputs = [(list(rng.integers(1, 64, size=n)), int(rng.integers(0, n)))
+              for n in PACK_LENGTHS]
+    return state, inputs
+
+
+def _live_pet(kind, state):
+    """A PET of kind whose every hook changes the forward (LoRA's B and the
+    adapters' up-projections start at zero)."""
+    if kind is None:
+        return None
+    pet = build_pet(PetConfig(kind=kind), state, np.random.default_rng(22))
+    noise = np.random.default_rng(23)
+    for t in pet.tensors.values():
+        t.data += noise.normal(0.0, 0.3, size=t.data.shape)
+    return pet
+
+
+def _forward_logits(state, inputs, pet):
+    with ad.no_grad():
+        return np.hstack([forward(state, tokens, pos, pet)[0].data
+                          for tokens, pos in inputs])
+
+
+@pytest.mark.parametrize("kind", [None, *PET_KINDS])
+def test_mask_logits_match_forward(packed_world, kind):
+    state, inputs = packed_world
+    pet = _live_pet(kind, state)
+    prompt = pet.config.prompt_len if kind == "prompt" else 0
+    assert sum(len(t) + prompt for t, _ in inputs) > 2 * PACK_COLUMNS
+    got = mask_logits(state, inputs, pet)
+    want = _forward_logits(state, inputs, pet)
+    assert got.shape == want.shape == (64, len(inputs))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", [None, *PET_KINDS])
+def test_mask_logits_keep_sequences_apart(packed_world, kind):
+    state, inputs = packed_world
+    pet = _live_pet(kind, state)
+    base = mask_logits(state, inputs, pet)
+    for j in (0, 5, len(inputs) - 1):
+        tokens, pos = inputs[j]
+        changed = list(inputs)
+        changed[j] = ([(t % 63) + 1 for t in tokens], pos)
+        got = mask_logits(state, changed, pet)
+        others = [i for i in range(len(inputs)) if i != j]
+        assert np.array_equal(got[:, others], base[:, others])
+        assert not np.array_equal(got[:, j], base[:, j])
+
+
+def test_mask_logits_reject_over_long_sequence_in_pack(packed_world):
+    state, inputs = packed_world
+    pet = _live_pet("prompt", state)
+    too_long = (list(range(1, 26)), 3)  # 25 tokens + 8 prompt > 32
+    with pytest.raises(PromptLengthError):
+        mask_logits(state, [inputs[0], too_long, inputs[2]], pet)
+
+
+def test_masked_accuracy_matches_per_sample_argmax(world):
+    samples = mlm_samples(make_pretrain_corpus(60, 12, np.random.default_rng(13)),
+                          np.random.default_rng(14))
+    logits = _forward_logits(world.state, [(t, pos) for t, _, pos in samples], None)
+    hits = sum(int(np.argmax(logits[:, i]) == target)
+               for i, (_, target, _) in enumerate(samples))
+    assert masked_accuracy(world.state, samples) == hits / len(samples)

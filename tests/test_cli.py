@@ -77,13 +77,21 @@ def test_help_exits_0(capsys):
     ["sample-bridge", "--paths", "0"],
     ["fewshot", "--k", "0"],
     ["fewshot", "--k", "2", "--seeds", "0"],
+    ["train-pet", "--steps", "0"],
+    ["train-pet", "--batch-size", "0"],
+    ["train-pet", "--eval-every", "0"],
 ], ids=["sample-bridge-steps", "sample-bridge-paths", "fewshot-k",
-        "fewshot-seeds"])
+        "fewshot-seeds", "train-pet-steps", "train-pet-batch-size",
+        "train-pet-eval-every"])
 def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
                                                           capsys):
     assert cli(["make-task", "--per-class", "4", "--out", str(tmp_path)]) == 0
+    task = str(tmp_path / "task.jsonl")
     if argv[0] == "fewshot":
-        argv = argv + ["--data", str(tmp_path / "task.jsonl")]
+        argv = argv + ["--data", task]
+    if argv[0] == "train-pet":  # no backbone is read before the check
+        argv = argv + ["--backbone", str(tmp_path / "none.bin"), "--pet", "lora",
+                       "--train", task, "--dev", task]
     out = tmp_path / "out"
     assert cli(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -250,6 +258,22 @@ def test_train_pet_config_file_overrides(world_dir, cli_run, tmp_path):
     record = json.loads((out / "config.json").read_text())
     assert record["train"]["max_steps"] == 10
     assert record["train"]["eval_every"] == 5
+
+
+@pytest.mark.parametrize("key", ["max_steps", "batch_size", "eval_every"])
+def test_train_pet_config_count_below_1_exits_2(world_dir, cli_run, tmp_path,
+                                                capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {key: 0}}))
+    out = tmp_path / "run"
+    args = _train_args(world_dir, cli_run["data"], out, "--method", "none",
+                       "--config", str(cfg))
+    for flag in ("--steps", "--eval-every"):  # let the file value apply
+        i = args.index(flag)
+        del args[i:i + 2]
+    assert cli(args) == 2
+    assert f"{key} must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_pet_map_of_other_method_exits_2(world_dir, cli_run, tmp_path,

@@ -1,5 +1,5 @@
-"""Latent projection layer: PCA endpoints, the mapping network, discrete
-paths, both goodness functions, and map fitting on a frozen backbone.
+"""Latent projection layer: PCA endpoints, the mapping network, both
+goodness functions, and map fitting on a frozen backbone.
 
 Finite-difference checks treat the goodness functions as black boxes over
 their trainable parameters; the SDE case fixes the simulation noise so the
@@ -19,7 +19,7 @@ from bridgetune.latent_map import (FitMapConfig, RankDeficientError,
                                    _spline_feature_weights, build_endpoints,
                                    fit_map, goodness_pdf, goodness_sde,
                                    latent_times, load_mapnet, new_mapnet,
-                                   project_discrete, save_mapnet)
+                                   save_mapnet)
 
 # ------------------------------------------------------------- endpoint table
 
@@ -125,24 +125,12 @@ def test_latent_times_values():
     assert len(ts) == 11 and 0.0 < min(ts) and max(ts) < 1.0
 
 
-def test_project_discrete_count_and_times():
-    rng = np.random.default_rng(1)
-    trace = _tiny_trace(rng, L=3)
-    net = _tiny_mapnet(rng)
-    path = project_discrete(net, trace)
-    assert len(path) == 4
-    assert [t for t, _ in path] == latent_times(3)
-    assert all(u.data.shape == (2, 1) for _, u in path)
-
-
-def test_project_discrete_zero_map_gives_zero_path():
-    rng = np.random.default_rng(2)
-    net = _tiny_mapnet(rng)
-    for w in net.weights:
-        w.data[:] = 0.0
-    path = project_discrete(net, _tiny_trace(rng))
-    for _, u in path:
-        assert np.all(u.data == 0.0)
+def _per_layer_path(net, trace):
+    """(t_i, u_i = g([h_o; h_bar])) with one MapNet.forward per trace entry:
+    the per-layer reference for the whole-path goodness functions."""
+    times = latent_times(len(trace.h_out) - 1)
+    return [(t, net.forward(ad.concat([ho, hc], axis=0)))
+            for t, ho, hc in zip(times, trace.h_out, trace.h_ctx)]
 
 
 # ------------------------------------------------------------- goodness (pdf)
@@ -157,7 +145,7 @@ def test_goodness_pdf_matches_transition_logpdf_sum(world):
     spec = bridges.BridgeSpec(kind=bridges.BROWNIAN, beta=world.endpoints.row(5))
     val = goodness_pdf(net, trace, spec).item()
     with ad.no_grad():
-        path = project_discrete(net, trace)
+        path = _per_layer_path(net, trace)
     expect = sum(bridges.transition_logpdf(spec, t, u.data.reshape(-1))
                  for t, u in path)
     assert val == pytest.approx(expect, rel=1e-12)
@@ -204,7 +192,7 @@ def test_gradient_ascent_reaches_pdf_maximum():
         grads = ad.backward(loss)
         ad.adam_step(params, grads, adam)
     with ad.no_grad():
-        path = project_discrete(net, trace)
+        path = _per_layer_path(net, trace)
     for t, u in path:
         assert np.linalg.norm(u.data.reshape(-1) - t * beta) < 1e-4
     final = goodness_pdf(net, trace, spec).item()

@@ -100,6 +100,9 @@ def test_train_config_validation():
         TrainConfig(method="both")
     with pytest.raises(ValueError, match="alpha"):
         TrainConfig(alpha=-0.1)
+    for key in ("batch_size", "max_steps", "eval_every"):
+        with pytest.raises(ValueError, match=f"{key} must be at least 1"):
+            TrainConfig(**{key: 0})
 
 
 # ------------------------------------------------------------- fewshot_split
@@ -152,8 +155,8 @@ def test_fewshot_deterministic_and_seed_sensitive():
 # ------------------------------------------------------------------ evaluate
 
 def _stub_predictions(monkeypatch, mapping):
-    def fake_predict(state, pet, sample, label_words):
-        return mapping[sample.tokens]
+    def fake_predict(state, pet, samples, label_words):
+        return [mapping[s.tokens] for s in samples]
     monkeypatch.setattr(pipeline, "predict", fake_predict)
 
 
@@ -206,6 +209,28 @@ def test_evaluate_errors(monkeypatch):
     _stub_predictions(monkeypatch, {s.tokens: 1 for s in data})
     with pytest.raises(DataError, match="unknown metric"):
         evaluate(None, None, data, "auc")
+
+
+@pytest.mark.parametrize("kind", [None, "prompt", "adapter"])
+def test_evaluate_matches_per_sample_argmax(world, monkeypatch, kind):
+    # Packed inference gives every metric that argmax over each sample's
+    # own forward logits gives.
+    pet = None
+    if kind is not None:
+        pet = build_pet(PetConfig(kind=kind), world.state, np.random.default_rng(8))
+        noise = np.random.default_rng(9)
+        for t in pet.tensors.values():
+            t.data += noise.normal(0.0, 0.05, size=t.data.shape)
+    words = sorted({s.label_word for s in world.pool})
+    per_sample = []
+    with ad.no_grad():
+        for s in world.pool:
+            logits, _ = forward(world.state, s.tokens, s.mask_position, pet)
+            per_sample.append(words[int(np.argmax(logits.data[words, 0]))])
+    got = {m: evaluate(world.state, pet, world.pool, m)
+           for m in ("accuracy", "f1", "matthews")}
+    _stub_predictions(monkeypatch, dict(zip((s.tokens for s in world.pool), per_sample)))
+    assert got == {m: evaluate(None, None, world.pool, m) for m in got}
 
 
 def test_evaluate_on_real_backbone_deterministic(world):

@@ -1,9 +1,12 @@
 """Binary snapshot round-trip and corruption handling."""
 
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bridgetune.snapshot import (MAGIC, SnapshotFormatError, load_snapshot,
                                  save_snapshot)
@@ -89,3 +92,75 @@ def test_header_layout_is_as_documented(tmp_path):
     assert dims == (1, 2)
     vals = np.frombuffer(blob[off + 9:off + 25], dtype="<f8")
     assert np.array_equal(vals, [1.0, 2.0])
+
+
+def _rewrite_header(blob, text):
+    """blob with its JSON header replaced by the raw bytes text."""
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    return MAGIC + struct.pack("<I", len(text)) + text + blob[12 + hlen:]
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b'{"k": 1', b"[1, 2]", b"3"],
+                         ids=["not-utf8", "not-json", "list", "number"])
+def test_bad_header_rejected(tmp_path, text):
+    path = tmp_path / "x.bin"
+    save_snapshot(path, {"k": 1}, {"w": np.ones(2)})
+    path.write_bytes(_rewrite_header(path.read_bytes(), text))
+    with pytest.raises(SnapshotFormatError, match="header"):
+        load_snapshot(path)
+
+
+def test_record_name_not_utf8_rejected(tmp_path):
+    path = tmp_path / "x.bin"
+    save_snapshot(path, {}, {"ab": np.ones(2)})
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(b"ab")] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(SnapshotFormatError, match="name"):
+        load_snapshot(path)
+
+
+def test_huge_dims_rejected_without_wrapping(tmp_path):
+    # Four dims of 2**16 hold 2**64 values, which wraps to 0 in int64; the
+    # record must read as truncated, not as an empty array.
+    path = tmp_path / "x.bin"
+    save_snapshot(path, {}, {"w": np.ones((1, 1, 1, 1))})
+    blob = bytearray(path.read_bytes())
+    dims = blob.index(struct.pack("<4I", 1, 1, 1, 1))
+    blob[dims:dims + 16] = struct.pack("<4I", *(4 * [2**16]))
+    path.write_bytes(bytes(blob[:-8]))
+    with pytest.raises(SnapshotFormatError, match="truncated"):
+        load_snapshot(path)
+
+
+def _small_snapshot():
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/s.bin"
+        save_snapshot(path, {"kind": "pet", "n": [1, 2]},
+                      {"a": np.arange(6.0).reshape(2, 3), "bc": np.array([0.5])})
+        with open(path, "rb") as f:
+            return f.read()
+
+
+SMALL = _small_snapshot()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cut=st.integers(0, len(SMALL)), at=st.integers(0, len(SMALL) - 1),
+       byte=st.integers(0, 255), truncate=st.booleans())
+def test_any_truncation_or_byte_change_loads_or_raises_format_error(
+        tmp_path, cut, at, byte, truncate):
+    if truncate:
+        blob = SMALL[:cut]
+    else:
+        blob = SMALL[:at] + bytes([byte]) + SMALL[at + 1:]
+    path = tmp_path / "fuzz.bin"
+    path.write_bytes(blob)
+    try:
+        header, tensors = load_snapshot(path)
+    except SnapshotFormatError:
+        return
+    assert isinstance(header, dict)
+    assert all(isinstance(v, np.ndarray) and v.dtype == np.float64
+               for v in tensors.values())
