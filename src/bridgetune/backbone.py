@@ -3,9 +3,9 @@ masked-position prediction head, and per-layer hidden trace extraction.
 
 States flow as d x N column matrices (one column per position). The trace
 records, for layers 0..L, the state at the output position and the mean over
-all positions present at that layer. forward builds one sample's graph;
-mask_logits packs many samples into each no-grad pass for callers that read
-only the logits.
+all positions present at that layer. forward builds one sample's graph,
+or, in its packed form, runs many samples in each no-grad pass for callers
+that read only the logits (mask_logits).
 """
 
 from __future__ import annotations
@@ -240,12 +240,21 @@ def _input_states(state: BackboneState, tokens, mask_position: int, pet) -> Tens
     return h
 
 
-def forward(state: BackboneState, tokens, mask_position: int, pet=None):
+def forward(state: BackboneState, tokens, mask_position, pet=None):
     """Run the encoder; returns (logits at the mask position, HiddenTrace).
 
     pet, when given, is consulted at the attachment hooks: input extension,
     query/value low-rank deltas, bias replacement, and sublayer adaptation.
+
+    Packed form, for callers that read only the logits: mask_position is a
+    list of (length, mask position) pairs and tokens holds those sequences
+    back to back. They then share no-grad passes of up to PACK_COLUMNS
+    columns (see _pack_logits), and forward returns (V x B logits at the B
+    mask positions, None); each column equals the one-sequence logits to
+    rounding.
     """
+    if isinstance(mask_position, (list, tuple)):
+        return _packed_logits(state, list(tokens), mask_position, pet), None
     h = _input_states(state, tokens, mask_position, pet)
     h_out = [_columns(h, [mask_position])]
     h_ctx = [ad.mean_over_axis(h, axis=1)]
@@ -284,24 +293,38 @@ def _pack_logits(state: BackboneState, pack, pet) -> np.ndarray:
     return ad.matmul(state["embed"], h).data
 
 
-def mask_logits(state: BackboneState, inputs, pet=None) -> np.ndarray:
-    """Logits at the mask position of every (tokens, mask_position) input,
-    as a V x n array, without a graph. Consecutive inputs share one forward
-    pass while their columns (prompt included) fit in PACK_COLUMNS; each
-    column equals forward's logits to rounding."""
-    out, pack, width = [], [], 0
+def _packed_logits(state: BackboneState, tokens: list, layout, pet) -> Tensor:
+    """forward's packed form: consecutive sequences share a pass while their
+    columns (prompt included) fit in PACK_COLUMNS."""
+    if sum(n for n, _ in layout) != len(tokens):
+        raise ValueError(f"layout covers {sum(n for n, _ in layout)} tokens, "
+                         f"got {len(tokens)}")
+    out, pack, width, start = [], [], 0, 0
     with ad.no_grad():
-        for tokens, mask_position in inputs:
-            h = _input_states(state, tokens, mask_position, pet)
-            n = h.data.shape[1]
-            if pack and width + n > PACK_COLUMNS:
+        for n, mask_position in layout:
+            h = _input_states(state, tokens[start:start + n], mask_position, pet)
+            start += n
+            if pack and width + h.data.shape[1] > PACK_COLUMNS:
                 out.append(_pack_logits(state, pack, pet))
                 pack, width = [], 0
             pack.append((h, mask_position))
-            width += n
+            width += h.data.shape[1]
         if pack:
             out.append(_pack_logits(state, pack, pet))
-    return np.hstack(out)
+    return Tensor(np.hstack(out) if out else np.zeros((state.config.vocab_size, 0)))
+
+
+def mask_logits(state: BackboneState, inputs, pet=None) -> np.ndarray:
+    """Logits at the mask position of every (tokens, mask_position) input,
+    as a V x n array: one call of forward's packed form."""
+    tokens, layout = [], []
+    for seq, mask_position in inputs:
+        seq = list(seq)
+        tokens.extend(seq)
+        layout.append((len(seq), mask_position))
+    with ad.no_grad():
+        logits, _ = forward(state, tokens, layout, pet)
+    return logits.data
 
 
 @dataclass(frozen=True)

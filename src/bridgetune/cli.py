@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _dataclass_from(cls, section: dict, overrides: dict):
     """Defaults, then config-file section, then explicit CLI overrides; a
-    value the dataclass rejects is a DataError."""
+    value the dataclass rejects with ValueError is a DataError."""
     values = {}
     known = {f.name for f in fields(cls)}
     for src in (section, overrides):
@@ -50,7 +50,7 @@ def _dataclass_from(cls, section: dict, overrides: dict):
                 values[key] = val
     try:
         return cls(**values)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise DataError(f"bad {cls.__name__} value: {e}") from e
 
 

@@ -46,8 +46,11 @@ class TrainConfig:
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
         for name in ("batch_size", "max_steps", "eval_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def total_loss(logits: Tensor, label_word: int, trace, mapnet, endpoints,

@@ -259,6 +259,32 @@ def test_mask_logits_reject_over_long_sequence_in_pack(packed_world):
         mask_logits(state, [inputs[0], too_long, inputs[2]], pet)
 
 
+def test_packed_forward_rejects_layout_not_covering_tokens(packed_world):
+    state, inputs = packed_world
+    tokens, pos = inputs[0]
+    with pytest.raises(ValueError, match="layout covers"):
+        forward(state, tokens + [1], [(len(tokens), pos)])
+
+
+def test_mask_logits_run_every_token_through_forward(packed_world, monkeypatch):
+    # Packed inference is forward's packed form, so a wrapper of forward
+    # sees every token column and every pass of inference.
+    import bridgetune.backbone as backbone
+    state, inputs = packed_world
+    seen = []
+    orig = backbone.forward
+
+    def counting(state, tokens, mask_position, pet=None):
+        seen.append(len(list(tokens)))
+        return orig(state, tokens, mask_position, pet)
+
+    monkeypatch.setattr(backbone, "forward", counting)
+    got = mask_logits(state, inputs)
+    assert seen == [sum(len(t) for t, _ in inputs)]
+    assert got.shape == (64, len(inputs))
+    assert mask_logits(state, []).shape == (64, 0)
+
+
 def test_masked_accuracy_matches_per_sample_argmax(world):
     samples = mlm_samples(make_pretrain_corpus(60, 12, np.random.default_rng(13)),
                           np.random.default_rng(14))

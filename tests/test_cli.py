@@ -261,10 +261,13 @@ def test_train_pet_config_file_overrides(world_dir, cli_run, tmp_path):
 
 
 @pytest.mark.parametrize("key", ["max_steps", "batch_size", "eval_every"])
-def test_train_pet_config_count_below_1_exits_2(world_dir, cli_run, tmp_path,
-                                                capsys, key):
+@pytest.mark.parametrize("value, message", [
+    (0, "must be at least 1, got 0"), ("4", "must be an integer, got '4'"),
+], ids=["zero", "string"])
+def test_train_pet_config_bad_count_exits_2(world_dir, cli_run, tmp_path,
+                                            capsys, key, value, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"train": {key: 0}}))
+    cfg.write_text(json.dumps({"train": {key: value}}))
     out = tmp_path / "run"
     args = _train_args(world_dir, cli_run["data"], out, "--method", "none",
                        "--config", str(cfg))
@@ -272,7 +275,7 @@ def test_train_pet_config_count_below_1_exits_2(world_dir, cli_run, tmp_path,
         i = args.index(flag)
         del args[i:i + 2]
     assert cli(args) == 2
-    assert f"{key} must be at least 1, got 0" in capsys.readouterr().err
+    assert f"{key} {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -103,6 +103,9 @@ def test_train_config_validation():
     for key in ("batch_size", "max_steps", "eval_every"):
         with pytest.raises(ValueError, match=f"{key} must be at least 1"):
             TrainConfig(**{key: 0})
+        for bad in ("4", 4.0, True):
+            with pytest.raises(ValueError, match=f"{key} must be an integer"):
+                TrainConfig(**{key: bad})
 
 
 # ------------------------------------------------------------- fewshot_split
