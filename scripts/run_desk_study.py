@@ -11,7 +11,6 @@ Usage:
 """
 
 import argparse
-import csv
 import json
 import os
 import time
@@ -22,7 +21,7 @@ from bridgetune.backbone import (ModelConfig, PretrainConfig, freeze,
                                  mlm_samples, pretrain_mlm)
 from bridgetune.latent_map import FitMapConfig, build_endpoints, fit_map
 from bridgetune.pets import PetConfig
-from bridgetune.pipeline import TrainConfig, fewshot_split, train_pet
+from bridgetune.pipeline import TrainConfig, fewshot_split, train_pet, write_csv
 from bridgetune.tasks import make_pretrain_corpus, make_task_dataset
 
 PETS = ("prompt", "lora", "bitfit", "adapter")
@@ -89,11 +88,7 @@ def main():
                 results.setdefault((pet, method, alpha), []).append(acc)
             print(f"seed {s} {pet} done ({time.time() - t0:.0f}s)")
 
-    with open(os.path.join(args.out, "desk_study.csv"), "w",
-              encoding="utf-8", newline="\n") as f:
-        w = csv.DictWriter(f, fieldnames=list(rows[0]))
-        w.writeheader()
-        w.writerows(rows)
+    write_csv(os.path.join(args.out, "desk_study.csv"), list(rows[0]), rows)
 
     summary = {}
     both = 0

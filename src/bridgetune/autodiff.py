@@ -9,6 +9,7 @@ Tensors with requires_grad=False; they never receive a gradient slot.
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -24,6 +25,10 @@ class NonScalarRootError(ValueError):
 
 class MissingGradientError(KeyError):
     """adam_step() was handed a parameter with no gradient entry."""
+
+
+class NonFiniteError(FloatingPointError):
+    """A training step's loss or gradient norm is NaN or infinite."""
 
 
 _node_ids = itertools.count()
@@ -315,39 +320,14 @@ def cross_entropy_with_logits(logits: Tensor, target: int) -> Tensor:
     return _make("cross_entropy_with_logits", [logits], out, grad_fn)
 
 
-_OPS = {
-    "matmul": lambda inputs, attrs: matmul(*inputs),
-    "add": lambda inputs, attrs: add(*inputs),
-    "sub": lambda inputs, attrs: sub(*inputs),
-    "scalar_mul": lambda inputs, attrs: scalar_mul(inputs[0], attrs["c"]),
-    "elementwise_mul": lambda inputs, attrs: elementwise_mul(*inputs),
-    "mean_over_axis": lambda inputs, attrs: mean_over_axis(inputs[0], attrs["axis"]),
-    "concat": lambda inputs, attrs: concat(inputs, attrs["axis"]),
-    "slice_rows": lambda inputs, attrs: slice_rows(inputs[0], attrs["start"], attrs["stop"]),
-    "gather_rows": lambda inputs, attrs: gather_rows(inputs[0], attrs["indices"]),
-    "transpose": lambda inputs, attrs: transpose(inputs[0]),
-    "softmax": lambda inputs, attrs: softmax(inputs[0], attrs.get("axis", -1)),
-    "layer_norm": lambda inputs, attrs: layer_norm(
-        inputs[0], attrs.get("axis", 0), attrs.get("eps", 1e-5)),
-    "gelu": lambda inputs, attrs: gelu(inputs[0]),
-    "relu": lambda inputs, attrs: relu(inputs[0]),
-    "square": lambda inputs, attrs: square(inputs[0]),
-    "sum": lambda inputs, attrs: tensor_sum(inputs[0]),
-    "log": lambda inputs, attrs: log(inputs[0]),
-    "cross_entropy_with_logits": lambda inputs, attrs: cross_entropy_with_logits(
-        inputs[0], attrs["target"]),
-}
-
-
-def apply(op_kind: str, inputs, **attrs) -> Tensor:
-    """Dispatch an op by name onto the active graph."""
-    if op_kind not in _OPS:
-        raise KeyError(f"unknown op_kind {op_kind!r}")
-    return _OPS[op_kind](list(inputs), attrs)
+_OP_KINDS = ("matmul", "add", "sub", "scalar_mul", "elementwise_mul", "mean_over_axis",
+             "concat", "slice_rows", "gather_rows", "transpose", "softmax", "layer_norm",
+             "gelu", "relu", "square", "sum", "log", "cross_entropy_with_logits")
 
 
 def op_kinds():
-    return sorted(_OPS)
+    """The op_kind of every graph node an op of this module can record."""
+    return sorted(_OP_KINDS)
 
 
 # ---------------------------------------------------------------- backward
@@ -445,3 +425,24 @@ def clip_gradients(params, grads, max_norm: float):
         for p in params:
             grads[p.node_id].data *= scale
     return norm
+
+
+def train_step(params, losses, adam: AdamState, max_norm: float) -> float:
+    """One optimizer step on the mean of the scalar losses: backward, clip
+    the global gradient norm to max_norm, then Adam. Returns the mean loss.
+
+    A NaN or infinite mean loss or pre-clip gradient norm raises
+    NonFiniteError before adam_step, so params and adam are left as they were.
+    """
+    loss = losses[0]
+    for extra in losses[1:]:
+        loss = add(loss, extra)
+    loss = scalar_mul(loss, 1.0 / len(losses))
+    grads = backward(loss)
+    norm = clip_gradients(params, grads, max_norm)
+    value = loss.item()
+    if not (math.isfinite(value) and math.isfinite(norm)):
+        raise NonFiniteError(f"non-finite training step {adam.step_count + 1}: "
+                             f"loss {value!r}, gradient norm {float(norm)!r}")
+    adam_step(params, grads, adam)
+    return value

@@ -18,9 +18,20 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .snapshot import load_snapshot, save_snapshot
+from .snapshot import check_records, header_config, load_kind, save_snapshot
 
 MASK_ID = 0
+
+
+def check_counts(cfg, **minimums) -> None:
+    """Raise ValueError unless each named field of cfg is an integer (not a
+    bool) no smaller than its minimum."""
+    for name, low in minimums.items():
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +44,8 @@ class ModelConfig:
     ffn_dim: int = 256
 
     def __post_init__(self):
+        check_counts(self, num_layers=0, hidden_dim=1, num_heads=1, vocab_size=1,
+                     max_seq_len=1, ffn_dim=1)
         if self.hidden_dim % self.num_heads != 0:
             raise ValueError("hidden_dim must be divisible by num_heads")
 
@@ -81,37 +94,34 @@ def bias_names(config: ModelConfig):
     return names
 
 
-def init_backbone(config: ModelConfig, rng: np.random.Generator,
-                  requires_grad: bool = True) -> BackboneState:
+def _param_specs(config: ModelConfig) -> dict:
+    """name -> (shape, fill) of every backbone tensor, in creation order; a
+    fill of None means N(0, 0.02^2) draws."""
     d, dff = config.hidden_dim, config.ffn_dim
-
-    def w(shape):
-        return Tensor(rng.normal(0.0, 0.02, size=shape), requires_grad=requires_grad)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    def ones(shape):
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    tensors = {
-        "embed": w((config.vocab_size, d)),
-        "pos": w((config.max_seq_len, d)),
-    }
+    specs = {"embed": ((config.vocab_size, d), None), "pos": ((config.max_seq_len, d), None)}
     for i in range(config.num_layers):
         n = _layer_names(i)
         for key in ("wq", "wk", "wv", "wo"):
-            tensors[n[key]] = w((d, d))
+            specs[n[key]] = ((d, d), None)
         for key in ("bq", "bk", "bv", "bo"):
-            tensors[n[key]] = zeros((d, 1))
-        tensors[n["w1"]] = w((dff, d))
-        tensors[n["b1"]] = zeros((dff, 1))
-        tensors[n["w2"]] = w((d, dff))
-        tensors[n["b2"]] = zeros((d, 1))
-        tensors[n["ln1_gain"]] = ones((d, 1))
-        tensors[n["ln1_bias"]] = zeros((d, 1))
-        tensors[n["ln2_gain"]] = ones((d, 1))
-        tensors[n["ln2_bias"]] = zeros((d, 1))
+            specs[n[key]] = ((d, 1), 0.0)
+        specs[n["w1"]] = ((dff, d), None)
+        specs[n["b1"]] = ((dff, 1), 0.0)
+        specs[n["w2"]] = ((d, dff), None)
+        specs[n["b2"]] = ((d, 1), 0.0)
+        specs[n["ln1_gain"]] = ((d, 1), 1.0)
+        specs[n["ln1_bias"]] = ((d, 1), 0.0)
+        specs[n["ln2_gain"]] = ((d, 1), 1.0)
+        specs[n["ln2_bias"]] = ((d, 1), 0.0)
+    return specs
+
+
+def init_backbone(config: ModelConfig, rng: np.random.Generator,
+                  requires_grad: bool = True) -> BackboneState:
+    tensors = {}
+    for name, (shape, fill) in _param_specs(config).items():
+        data = rng.normal(0.0, 0.02, size=shape) if fill is None else np.full(shape, fill)
+        tensors[name] = Tensor(data, requires_grad=requires_grad)
     return BackboneState(config=config, tensors=tensors)
 
 
@@ -335,6 +345,9 @@ class PretrainConfig:
     seed: int = 0
     grad_clip: float = 1.0
 
+    def __post_init__(self):
+        check_counts(self, batch_size=1, max_steps=0)
+
 
 def mlm_samples(corpus, rng: np.random.Generator):
     """Mask one random position per sequence: (masked tokens, target, position)."""
@@ -355,8 +368,6 @@ def pretrain_mlm(config: ModelConfig, corpus, hyper: PretrainConfig) -> Backbone
         raise ValueError("corpus is empty")
     rng = np.random.default_rng(hyper.seed)
     state = init_backbone(config, rng, requires_grad=True)
-    if hyper.max_steps == 0:
-        return state
     params = list(state.tensors.values())
     adam = ad.AdamState(params, hyper.learning_rate)
     corpus = list(corpus)
@@ -364,13 +375,7 @@ def pretrain_mlm(config: ModelConfig, corpus, hyper: PretrainConfig) -> Backbone
         idx = rng.integers(0, len(corpus), size=hyper.batch_size)
         losses = [ad.cross_entropy_with_logits(forward(state, masked, pos)[0], target)
                   for masked, target, pos in mlm_samples([corpus[j] for j in idx], rng)]
-        loss = losses[0]
-        for extra in losses[1:]:
-            loss = ad.add(loss, extra)
-        loss = ad.scalar_mul(loss, 1.0 / len(losses))
-        grads = ad.backward(loss)
-        ad.clip_gradients(params, grads, hyper.grad_clip)
-        ad.adam_step(params, grads, adam)
+        ad.train_step(params, losses, adam, hyper.grad_clip)
     return state
 
 
@@ -388,11 +393,9 @@ def save_backbone(path, state: BackboneState) -> None:
 
 
 def load_backbone(path) -> BackboneState:
-    header, tensors = load_snapshot(path)
-    if header.get("kind") != "backbone":
-        raise ValueError(f"{path} is not a backbone snapshot")
-    config = ModelConfig(**header["config"])
-    state = BackboneState(config=config)
-    for name, arr in tensors.items():
-        state.tensors[name] = Tensor(arr, requires_grad=False)
-    return state
+    header, tensors = load_kind(path, "backbone")
+    config = header_config(path, header, ModelConfig)
+    check_records(path, tensors, {name: shape for name, (shape, _) in
+                                  _param_specs(config).items()})
+    return BackboneState(config=config, tensors={
+        name: Tensor(arr, requires_grad=False) for name, arr in tensors.items()})

@@ -17,6 +17,7 @@ import numpy as np
 from . import bridges
 from .analysis import (StatisticsError, bridge_distance, centroid_distance,
                        pearson, trace_from_arrays)
+from .autodiff import NonFiniteError
 from .backbone import (ModelConfig, PretrainConfig, freeze, load_backbone,
                        masked_accuracy, mlm_samples, pretrain_mlm,
                        save_backbone)
@@ -65,6 +66,37 @@ def _int_at_least(low):
     return parse
 
 
+def _float_in(low, high):
+    """argparse type: a float in [low, high)."""
+    def parse(text):
+        value = float(text)
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low} and below {high}, got {value}")
+        return value
+    parse.__name__ = "float"
+    return parse
+
+
+def _load_dataset(path, state, pet_cfg: PetConfig):
+    """load_jsonl, then check that every sample fits the backbone: its token
+    ids and label word inside the vocabulary, and its tokens plus the PET's
+    prompt columns within max_seq_len."""
+    samples = load_jsonl(path)
+    if not samples:
+        raise DataError(f"{path}: no samples")
+    vocab, max_len = state.config.vocab_size, state.config.max_seq_len
+    prompt = pet_cfg.prompt_len if pet_cfg.kind == "prompt" else 0
+    for i, s in enumerate(samples):
+        if not all(0 <= t < vocab for t in (*s.tokens, s.label_word)):
+            raise DataError(f"{path}: sample {i}: token id outside the "
+                            f"vocabulary of {vocab}")
+        if len(s.tokens) + prompt > max_len:
+            raise DataError(f"{path}: sample {i}: {len(s.tokens)} tokens + {prompt} "
+                            f"prompt columns exceed max_seq_len {max_len}")
+    return samples
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -87,9 +119,9 @@ def _build_parser():
 
     p = sub.add_parser("pretrain", parents=[common],
                        help="build and pretrain the frozen backbone")
-    p.add_argument("--steps", type=int, default=2500)
-    p.add_argument("--corpus-size", type=int, default=300)
-    p.add_argument("--seq-len", type=int, default=12)
+    p.add_argument("--steps", type=_int_at_least(1), default=2500)
+    p.add_argument("--corpus-size", type=_int_at_least(1), default=300)
+    p.add_argument("--seq-len", type=_int_at_least(1), default=12)
 
     p = sub.add_parser("fit-map", parents=[common],
                        help="fit the latent mapping on a frozen backbone")
@@ -98,9 +130,9 @@ def _build_parser():
     p.add_argument("--method", choices=["pdf", "sde"], required=True)
     p.add_argument("--bridge", choices=[bridges.BROWNIAN, bridges.OU],
                    default=bridges.BROWNIAN)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_int_at_least(1), default=None)
     p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--latent-dim", type=int, default=None)
+    p.add_argument("--latent-dim", type=_int_at_least(1), default=None)
 
     p = sub.add_parser("train-pet", parents=[common],
                        help="train one PET with an optional bridge regularizer")
@@ -149,12 +181,12 @@ def _build_parser():
 
     p = sub.add_parser("make-task", parents=[common],
                        help="generate a synthetic downstream dataset")
-    p.add_argument("--per-class", type=int, default=None,
+    p.add_argument("--per-class", type=_int_at_least(1), default=None,
                    help="examples per class (default 80)")
-    p.add_argument("--seq-len", type=int, default=None,
+    p.add_argument("--seq-len", type=_int_at_least(1), default=None,
                    help="sequence length before the mask (default 12)")
-    p.add_argument("--mix", type=float, default=None,
-                   help="minority-topic mixing rate (default 0.35)")
+    p.add_argument("--mix", type=_float_in(0.0, 0.5), default=None,
+                   help="minority-topic mixing rate in [0, 0.5) (default 0.35)")
 
     return parser
 
@@ -162,6 +194,9 @@ def _build_parser():
 def _cmd_pretrain(args):
     cfg_file = _load_config(args.config)
     model_cfg = _dataclass_from(ModelConfig, cfg_file.get("model", {}), {})
+    if args.seq_len > model_cfg.max_seq_len:
+        raise DataError(f"--seq-len {args.seq_len} exceeds max_seq_len "
+                        f"{model_cfg.max_seq_len}")
     rng = np.random.default_rng(args.seed)
     corpus = make_pretrain_corpus(args.corpus_size, args.seq_len, rng)
     holdout = make_pretrain_corpus(60, args.seq_len, rng)
@@ -197,6 +232,8 @@ def _cmd_fit_map(args):
                  "max_steps": args.steps, "latent_dim": args.latent_dim,
                  "seed": args.seed}
     cfg = _dataclass_from(FitMapConfig, cfg_file.get("fitmap", {}), overrides)
+    if cfg.max_steps < 1:
+        raise DataError(f"fitmap max_steps must be at least 1, got {cfg.max_steps}")
     eta = args.eta if args.eta is not None else 1.0
     endpoints = build_endpoints(state["embed"].data, cfg.latent_dim, eta)
     rng = np.random.default_rng(args.seed)
@@ -206,8 +243,7 @@ def _cmd_fit_map(args):
     path = os.path.join(args.out, f"map-{args.method}.bin")
     save_mapnet(path, mapnet, args.method, endpoints,
                 bridge_kind=cfg.bridge_kind, q=cfg.q, sigma=cfg.sigma)
-    final = history[-1] if history else (0, float("nan"), float("nan"))
-    print(f"final training loss: {final[1]:.4f}")
+    print(f"final training loss: {history[-1][1]:.4f}")
     print(f"wrote {path}")
     return 0
 
@@ -245,8 +281,8 @@ def _cmd_train_pet(args):
                         f"not {cfg.method!r}")
     if mapnet is None and cfg.method != "none":
         raise DataError(f"method {cfg.method!r} requires --map")
-    train_set = load_jsonl(args.train)
-    dev_set = load_jsonl(args.dev)
+    train_set = _load_dataset(args.train, state, pet_cfg)
+    dev_set = _load_dataset(args.dev, state, pet_cfg)
     _, _, summary = run_training(args.out, state, pet_cfg, mapnet, endpoints,
                                  train_set, dev_set, cfg)
     print(f"best dev {cfg.metric}: {summary['best_dev_metric']:.4f} "
@@ -259,7 +295,7 @@ def _cmd_eval(args):
     _load_config(args.config)  # validate even though no section applies
     state = load_backbone(args.backbone)
     pet = load_pet(args.pet, state)
-    data = load_jsonl(args.data)
+    data = _load_dataset(args.data, state, pet.config)
     value = evaluate(state, pet, data, args.metric)
     print(f"{args.metric}: {value:.6f}")
     return 0
@@ -396,7 +432,7 @@ def cli(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (DataError, SnapshotFormatError, StatisticsError) as e:
+    except (DataError, SnapshotFormatError, StatisticsError, NonFiniteError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

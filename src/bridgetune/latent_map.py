@@ -17,8 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from . import bridges
 from .autodiff import Tensor
-from .backbone import BackboneState, HiddenTrace, forward
-from .snapshot import load_snapshot, save_snapshot
+from .backbone import BackboneState, HiddenTrace, check_counts, forward
+from .snapshot import check_records, header_value, load_kind, save_snapshot
 from .spline import interp_weights
 
 class RankDeficientError(ValueError):
@@ -212,11 +212,23 @@ class FitMapConfig:
     def __post_init__(self):
         if self.method not in ("pdf", "sde"):
             raise ValueError(f"method must be pdf or sde, got {self.method!r}")
+        check_counts(self, latent_dim=1, batch_size=1, max_steps=0, eval_every=1)
 
 
-def _sample_spec(cfg: FitMapConfig, endpoints: EndpointTable, token: int):
+def bridge_spec(cfg, endpoints: EndpointTable, token: int) -> bridges.BridgeSpec:
+    """The bridge toward token's endpoint row, of cfg's kind, q and sigma."""
     return bridges.BridgeSpec(kind=cfg.bridge_kind, beta=endpoints.row(token),
-                              horizon=1.0, q=cfg.q, sigma=cfg.sigma)
+                              q=cfg.q, sigma=cfg.sigma)
+
+
+def running_cost(cfg, mapnet: MapNet, trace: HiddenTrace, spec: bridges.BridgeSpec,
+                 rng: np.random.Generator) -> Tensor:
+    """The running cost of cfg.method ("pdf" or "sde") for one trace, lower
+    when the latent path is closer to the bridge: the negated PDF goodness,
+    or the SDE KL over cfg.sde_steps steps with its noise drawn from rng."""
+    if cfg.method == "pdf":
+        return ad.scalar_mul(goodness_pdf(mapnet, trace, spec), -1.0)
+    return goodness_sde(mapnet, trace, spec, cfg.sde_steps, rng)
 
 
 def collect_traces(state: BackboneState, samples):
@@ -252,37 +264,20 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
     def holdout_goodness():
         if held is None:
             return math.nan
-        with_total = 0.0
+        total = 0.0
         for trace, target in held:
-            spec = _sample_spec(cfg, endpoints, target)
-            if cfg.method == "pdf":
-                val = goodness_pdf(mapnet, trace, spec).item()
-            else:
-                val = -goodness_sde(mapnet, trace, spec, cfg.sde_steps,
-                                    np.random.default_rng(cfg.seed)).item()
-            with_total += val
-        return with_total / len(held)
+            total -= running_cost(cfg, mapnet, trace, bridge_spec(cfg, endpoints, target),
+                                  np.random.default_rng(cfg.seed)).item()
+        return total / len(held)
 
     for step in range(1, cfg.max_steps + 1):
         idx = rng.integers(0, len(traces), size=cfg.batch_size)
-        losses = []
-        for j in idx:
-            trace, target = traces[j]
-            spec = _sample_spec(cfg, endpoints, target)
-            if cfg.method == "pdf":
-                losses.append(ad.scalar_mul(goodness_pdf(mapnet, trace, spec), -1.0))
-            else:
-                losses.append(goodness_sde(mapnet, trace, spec, cfg.sde_steps, rng))
-        loss = losses[0]
-        for extra in losses[1:]:
-            loss = ad.add(loss, extra)
-        loss = ad.scalar_mul(loss, 1.0 / len(losses))
-        grads = ad.backward(loss)
-        ad.clip_gradients(params, grads, cfg.grad_clip)
+        losses = [running_cost(cfg, mapnet, trace, bridge_spec(cfg, endpoints, target), rng)
+                  for trace, target in (traces[j] for j in idx)]
         adam.learning_rate = cfg.learning_rate * min(1.0, step / warmup_steps)
-        ad.adam_step(params, grads, adam)
+        loss = ad.train_step(params, losses, adam, cfg.grad_clip)
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
-            history.append((step, loss.item(), holdout_goodness()))
+            history.append((step, loss, holdout_goodness()))
     return mapnet, history
 
 
@@ -303,15 +298,20 @@ def save_mapnet(path, mapnet: MapNet, method: str, endpoints: EndpointTable,
 
 def load_mapnet(path):
     """Returns (MapNet, EndpointTable, header)."""
-    header, tensors = load_snapshot(path)
-    if header.get("kind") != "mapnet":
-        raise ValueError(f"{path} is not a map snapshot")
-    dims = tuple(header["dims"])
+    header, tensors = load_kind(path, "mapnet")
+    dims = tuple(header_value(path, header, "dims", lambda v: isinstance(v, list) and (
+        len(v) >= 2 and all(type(d) is int and d >= 1 for d in v))))
+    time_augmented = header_value(path, header, "time_augmented",
+                                  lambda v: isinstance(v, bool))
+    eta = header_value(path, header, "eta", lambda v: type(v) in (int, float))
+    r = header_value(path, header, "r", lambda v: v == dims[-1] and type(v) is int)
     n_layers = len(dims) - 1
+    shapes = {"endpoints.beta": (None, r)}
+    for i in range(n_layers):
+        shapes[f"map.w{i}"] = (dims[i + 1], dims[i])
+        shapes[f"map.b{i}"] = (dims[i + 1], 1)
+    check_records(path, tensors, shapes)
     weights = [Tensor(tensors[f"map.w{i}"], requires_grad=True) for i in range(n_layers)]
     biases = [Tensor(tensors[f"map.b{i}"], requires_grad=True) for i in range(n_layers)]
-    mapnet = MapNet(weights=weights, biases=biases, dims=dims,
-                    time_augmented=header["time_augmented"])
-    endpoints = EndpointTable(beta=tensors["endpoints.beta"],
-                              eta=header["eta"], r=header["r"])
-    return mapnet, endpoints, header
+    mapnet = MapNet(weights=weights, biases=biases, dims=dims, time_augmented=time_augmented)
+    return mapnet, EndpointTable(beta=tensors["endpoints.beta"], eta=eta, r=r), header

@@ -15,7 +15,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import BackboneState, ModelConfig, bias_names
-from .snapshot import load_snapshot, save_snapshot
+from .snapshot import (SnapshotFormatError, check_records, header_config, load_kind,
+                       save_snapshot)
 
 PET_KINDS = ("prompt", "lora", "bitfit", "adapter")
 
@@ -188,11 +189,12 @@ def save_pet(path, pet: PetParams) -> None:
 
 
 def load_pet(path, state: BackboneState) -> PetParams:
-    header, tensors = load_snapshot(path)
-    if header.get("kind") != "pet":
-        raise ValueError(f"{path} is not a PET snapshot")
-    config = PetConfig(**header["config"])
-    rng = np.random.default_rng(0)
-    pet = build_pet(config, state, rng)
+    header, tensors = load_kind(path, "pet")
+    config = header_config(path, header, PetConfig)
+    try:
+        pet = build_pet(config, state, np.random.default_rng(0))
+    except ValueError as e:  # a PET config this backbone cannot take
+        raise SnapshotFormatError(f"{path}: {e}") from e
+    check_records(path, tensors, {k: t.shape for k, t in pet.tensors.items()})
     pet.load_tensors(tensors)
     return pet

@@ -18,8 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from . import bridges
 from .autodiff import Tensor
-from .backbone import BackboneState, forward, mask_logits
-from .latent_map import goodness_pdf, goodness_sde
+from .backbone import BackboneState, check_counts, forward, mask_logits
+from .latent_map import bridge_spec, running_cost
 from .pets import PetConfig, build_pet, save_pet
 from .snapshot import save_snapshot
 from .tasks import DataError
@@ -45,34 +45,21 @@ class TrainConfig:
             raise ValueError(f"method must be none, pdf or sde, got {self.method!r}")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
-        for name in ("batch_size", "max_steps", "eval_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        check_counts(self, batch_size=1, max_steps=1, eval_every=1)
 
 
 def total_loss(logits: Tensor, label_word: int, trace, mapnet, endpoints,
                cfg: TrainConfig, rng=None):
-    """Terminal cross-entropy plus alpha times the running cost.
-
-    Running cost is the negated PDF goodness (so minimizing pushes latent
-    points toward the bridge) or the SDE KL. Returns (loss tensor,
-    terminal value, running value). alpha == 0 skips the regularizer and
-    consumes no randomness.
+    """Terminal cross-entropy plus alpha times the bridge running cost
+    (latent_map.running_cost). Returns (loss tensor, terminal value, running
+    value). alpha == 0 skips the regularizer and consumes no randomness.
     """
     ce = ad.cross_entropy_with_logits(logits, label_word)
     if cfg.method == "none" or cfg.alpha == 0.0:
         return ce, ce.item(), 0.0
     if mapnet is None:
         raise ValueError(f"method {cfg.method!r} needs a fitted map")
-    spec = bridges.BridgeSpec(kind=cfg.bridge_kind, beta=endpoints.row(label_word),
-                              horizon=1.0, q=cfg.q, sigma=cfg.sigma)
-    if cfg.method == "pdf":
-        running = ad.scalar_mul(goodness_pdf(mapnet, trace, spec), -1.0)
-    else:
-        running = goodness_sde(mapnet, trace, spec, cfg.sde_steps, rng)
+    running = running_cost(cfg, mapnet, trace, bridge_spec(cfg, endpoints, label_word), rng)
     loss = ad.add(ce, ad.scalar_mul(running, cfg.alpha))
     return loss, ce.item(), running.item()
 
@@ -164,15 +151,7 @@ def train_pet(state: BackboneState, pet_cfg: PetConfig, mapnet, endpoints,
             losses.append(loss_j)
             ce_sum += ce_j
             run_sum += run_j
-        loss = losses[0]
-        for extra in losses[1:]:
-            loss = ad.add(loss, extra)
-        loss = ad.scalar_mul(loss, 1.0 / len(losses))
-        grads = ad.backward(loss)
-        ad.clip_gradients(params, grads, cfg.grad_clip)
-        ad.adam_step(params, grads, adam)
-
-        win_loss += loss.item()
+        win_loss += ad.train_step(params, losses, adam, cfg.grad_clip)
         win_ce += ce_sum / len(losses)
         win_run += run_sum / len(losses)
         win_n += 1
@@ -228,9 +207,9 @@ def run_training(out_dir, state: BackboneState, pet_cfg: PetConfig, mapnet,
                  probe_set=None):
     """One run directory: config.json, metrics.csv, best checkpoint, and
     probe traces for later analysis."""
-    os.makedirs(out_dir, exist_ok=True)
     pet, history, summary = train_pet(state, pet_cfg, mapnet, endpoints,
                                       train_set, dev_set, cfg)
+    os.makedirs(out_dir, exist_ok=True)
     record = {
         "train": asdict(cfg),
         "pet": asdict(pet_cfg),

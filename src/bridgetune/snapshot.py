@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -87,3 +88,46 @@ def load_snapshot(path):
     if off != len(blob):
         raise SnapshotFormatError(f"{path}: {len(blob) - off} trailing bytes")
     return header, tensors
+
+
+def load_kind(path, kind: str):
+    """load_snapshot, for a snapshot whose header names the given kind."""
+    header, tensors = load_snapshot(path)
+    if header.get("kind") != kind:
+        raise SnapshotFormatError(f"{path}: not a {kind!r} snapshot "
+                                  f"(header kind {header.get('kind')!r})")
+    return header, tensors
+
+
+def header_value(path, header: dict, key: str, ok):
+    """header[key], when present and ok(header[key]) holds."""
+    if key not in header or not ok(header[key]):
+        raise SnapshotFormatError(f"{path}: header field {key!r} missing or malformed")
+    return header[key]
+
+
+def header_config(path, header: dict, cls):
+    """cls built from the header's "config" object, which must hold exactly
+    cls's fields, each a JSON int or string as the field is declared."""
+    declared = {f.name: {"int": int, "str": str}[f.type] for f in fields(cls)}
+    value = header_value(path, header, "config", lambda v: isinstance(v, dict) and (
+        v.keys() == declared.keys() and all(type(v[k]) is t for k, t in declared.items())))
+    try:
+        return cls(**value)
+    except ValueError as e:
+        raise SnapshotFormatError(f"{path}: header field 'config': {e}") from e
+
+
+def check_records(path, tensors: dict, shapes: dict) -> None:
+    """Raise SnapshotFormatError unless tensors holds exactly the records
+    named in shapes, each of its shape (a None size matches any)."""
+    for name in tensors:
+        if name not in shapes:
+            raise SnapshotFormatError(f"{path}: unexpected record {name!r}")
+    for name, shape in shapes.items():
+        if name not in tensors:
+            raise SnapshotFormatError(f"{path}: record {name!r} missing")
+        got = tensors[name].shape
+        if len(got) != len(shape) or any(s not in (None, g) for s, g in zip(shape, got)):
+            raise SnapshotFormatError(f"{path}: record {name!r} has shape {got}, "
+                                      f"not {shape}")

@@ -219,7 +219,7 @@ def test_criterion_04_gradient_suite():
         for name, (fn, leaves) in cases.items():
             w = _fd_worst(fn, leaves, np.random.default_rng(trial))
             worst_op[name] = max(worst_op.get(name, 0.0), w)
-    covered = set(worst_op) == set(ad._OPS)
+    covered = set(worst_op) == set(ad.op_kinds())
 
     worst_pdf = 0.0
     for trial in range(20):
@@ -253,7 +253,7 @@ def test_criterion_04_gradient_suite():
     worst = max(worst_op.values())
     ok = covered and worst < 1e-4 and worst_pdf < 1e-4 and worst_sde < 1e-3
     _check("4 gradient suite", ok,
-           f"{len(worst_op)}/{len(ad._OPS)} ops worst {worst:.1e} (tol 1e-4), "
+           f"{len(worst_op)}/{len(ad.op_kinds())} ops worst {worst:.1e} (tol 1e-4), "
            f"pdf goodness {worst_pdf:.1e} (tol 1e-4), "
            f"sde goodness {worst_sde:.1e} (tol 1e-3), 20 trials each")
 

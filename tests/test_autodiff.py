@@ -5,6 +5,8 @@ properties (DAG accumulation, graph suppression, optimizer arithmetic) get
 direct oracles.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -247,17 +249,13 @@ def test_shape_mismatch_raises(rng):
         ad.matmul(a, b)
 
 
-def test_apply_dispatch_covers_all_ops(rng):
+def test_apply_dispatch_covers_all_ops():
     expected = {"matmul", "add", "sub", "scalar_mul", "elementwise_mul",
                 "mean_over_axis", "concat", "slice_rows", "gather_rows",
                 "transpose", "softmax", "layer_norm", "gelu", "relu",
                 "square", "sum", "log", "cross_entropy_with_logits"}
     assert set(ad.op_kinds()) == expected
-    a = ad.Tensor(rng.standard_normal((2, 2)), requires_grad=True)
-    out = ad.apply("scalar_mul", [a], c=2.0)
-    assert np.allclose(out.data, 2.0 * a.data)
-    with pytest.raises(KeyError):
-        ad.apply("unknown_op", [a])
+    assert ad.op_kinds() == sorted(expected)
 
 
 def test_adam_first_step_oracle():
@@ -341,3 +339,66 @@ def test_backward_deterministic(rng):
         grads = ad.backward(loss)
         outs.append(grads[x.node_id].data.copy())
     assert np.array_equal(outs[0], outs[1])
+
+
+# ---------------------------------------------------------------- train_step
+
+def _step_problem(seed):
+    """Two trainable matrices and a frozen input; three per-sample losses."""
+    rng = np.random.default_rng(seed)
+    w = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    b = ad.Tensor(rng.standard_normal((3, 1)), requires_grad=True)
+    x = ad.Tensor(rng.standard_normal((4, 3)))
+
+    def losses():
+        h = ad.gelu(ad.add(ad.matmul(w, x), b))
+        return [ad.cross_entropy_with_logits(ad.slice_rows(ad.transpose(h), j, j + 1), j)
+                for j in range(3)]
+
+    return [w, b], losses
+
+
+@pytest.mark.parametrize("max_norm", [1e-3, 1e3], ids=["clipped", "unclipped"])
+def test_train_step_matches_hand_written_sequence(max_norm):
+    hand_params, hand_losses = _step_problem(3)
+    step_params, step_losses = _step_problem(3)
+    hand_adam = ad.AdamState(hand_params, 0.05)
+    step_adam = ad.AdamState(step_params, 0.05)
+    for _ in range(4):
+        losses = hand_losses()
+        loss = losses[0]
+        for extra in losses[1:]:
+            loss = ad.add(loss, extra)
+        loss = ad.scalar_mul(loss, 1.0 / len(losses))
+        grads = ad.backward(loss)
+        ad.clip_gradients(hand_params, grads, max_norm)
+        ad.adam_step(hand_params, grads, hand_adam)
+        assert ad.train_step(step_params, step_losses(), step_adam, max_norm) == loss.item()
+    assert step_adam.step_count == hand_adam.step_count == 4
+    for p, q in zip(hand_params, step_params):
+        assert p.data.tobytes() == q.data.tobytes()
+        assert (hand_adam.first_moment[p.node_id].tobytes()
+                == step_adam.first_moment[q.node_id].tobytes())
+        assert (hand_adam.second_moment[p.node_id].tobytes()
+                == step_adam.second_moment[q.node_id].tobytes())
+
+
+@pytest.mark.parametrize("scale, value", [
+    (math.nan, "nan"), (math.inf, "inf"), (1e200, "gradient norm inf"),
+], ids=["nan-loss", "inf-loss", "inf-gradient-norm"])
+def test_train_step_non_finite_raises_leaving_state_unchanged(scale, value):
+    # scale 1e200 keeps the loss finite (2.0) while each squared gradient
+    # overflows, so only the pre-clip norm is infinite
+    x = ad.Tensor(np.array([[1e-200], [1e-200]]) if scale == 1e200 else np.ones((2, 1)),
+                  requires_grad=True)
+    adam = ad.AdamState([x], 0.1)
+    ad.train_step([x], [ad.tensor_sum(ad.scalar_mul(x, 1.0))], adam, 1.0)
+    before = x.data.tobytes()
+    moments = (adam.first_moment[x.node_id].tobytes(),
+               adam.second_moment[x.node_id].tobytes())
+    with pytest.raises(ad.NonFiniteError, match=f"step 2: .*{value}"):
+        ad.train_step([x], [ad.tensor_sum(ad.scalar_mul(x, scale))], adam, 1.0)
+    assert x.data.tobytes() == before
+    assert adam.step_count == 1
+    assert (adam.first_moment[x.node_id].tobytes(),
+            adam.second_moment[x.node_id].tobytes()) == moments

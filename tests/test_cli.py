@@ -6,10 +6,12 @@ the session-scoped world fixture are shared.
 
 import json
 
+import numpy as np
 import pytest
 
 from bridgetune.cli import cli
 from bridgetune.latent_map import load_mapnet, save_mapnet
+from bridgetune.pets import PetConfig, build_pet, save_pet
 from bridgetune.tasks import load_jsonl
 
 # ------------------------------------------------------------------ exit codes
@@ -80,9 +82,22 @@ def test_help_exits_0(capsys):
     ["train-pet", "--steps", "0"],
     ["train-pet", "--batch-size", "0"],
     ["train-pet", "--eval-every", "0"],
+    ["pretrain", "--steps", "-3"],
+    ["pretrain", "--corpus-size", "0"],
+    ["pretrain", "--seq-len", "0"],
+    ["fit-map", "--steps", "0"],
+    ["fit-map", "--latent-dim", "0"],
+    ["make-task", "--per-class", "0"],
+    ["make-task", "--seq-len", "0"],
+    ["make-task", "--mix", "1.5"],
+    ["make-task", "--mix", "0.5"],
+    ["make-task", "--mix", "-0.1"],
 ], ids=["sample-bridge-steps", "sample-bridge-paths", "fewshot-k",
         "fewshot-seeds", "train-pet-steps", "train-pet-batch-size",
-        "train-pet-eval-every"])
+        "train-pet-eval-every", "pretrain-steps", "pretrain-corpus-size",
+        "pretrain-seq-len", "fit-map-steps", "fit-map-latent-dim",
+        "make-task-per-class", "make-task-seq-len", "make-task-mix-1.5",
+        "make-task-mix-0.5", "make-task-mix-negative"])
 def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
                                                           capsys):
     assert cli(["make-task", "--per-class", "4", "--out", str(tmp_path)]) == 0
@@ -92,10 +107,43 @@ def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
     if argv[0] == "train-pet":  # no backbone is read before the check
         argv = argv + ["--backbone", str(tmp_path / "none.bin"), "--pet", "lora",
                        "--train", task, "--dev", task]
+    if argv[0] == "fit-map":
+        argv = argv + ["--backbone", str(tmp_path / "none.bin"), "--method", "pdf",
+                       "--corpus", str(tmp_path / "none.json")]
     out = tmp_path / "out"
     assert cli(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "usage" in err.lower() and "must be at least" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, section, message", [
+    (["pretrain", "--steps", "2", "--corpus-size", "4"], {"pretrain": {"batch_size": 0}},
+     "batch_size must be at least 1, got 0"),
+    (["pretrain", "--steps", "2", "--corpus-size", "4"], {"model": {"num_heads": 0}},
+     "num_heads must be at least 1, got 0"),
+    (["pretrain", "--steps", "2", "--corpus-size", "4", "--seq-len", "33"], {},
+     "--seq-len 33 exceeds max_seq_len 32"),
+    (["fit-map", "--method", "pdf"], {"fitmap": {"max_steps": 0}},
+     "max_steps must be at least 1, got 0"),
+    (["fit-map", "--method", "sde"], {"fitmap": {"batch_size": "8"}},
+     "batch_size must be an integer, got '8'"),
+    (["make-task"], {"task": {"per_class": 0}}, "need n_per_class >= 1"),
+    (["make-task"], {"task": {"per_class": "4"}}, "need n_per_class >= 1"),
+    (["make-task"], {"task": {"mix": 0.5}}, "0 <= mix < 0.5"),
+], ids=["pretrain-batch-size", "model-num-heads", "pretrain-seq-len-over-model",
+        "fitmap-max-steps", "fitmap-batch-size", "task-per-class", "task-per-class-string",
+        "task-mix"])
+def test_config_value_out_of_range_exits_2_writing_nothing(world_dir, tmp_path, capsys,
+                                                           argv, section, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(section))
+    if argv[0] == "fit-map":
+        argv = argv + ["--backbone", str(world_dir / "backbone.bin"),
+                       "--corpus", str(world_dir / "corpus.json")]
+    out = tmp_path / "out"
+    assert cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -313,6 +361,77 @@ def test_train_pet_takes_bridge_from_map(world, world_dir, cli_run, tmp_path):
     record = json.loads((tmp_path / "run" / "config.json").read_text())
     assert record["train"]["bridge_kind"] == "ou"
     assert record["train"]["q"] == 1.5 and record["train"]["sigma"] == 0.9
+
+
+@pytest.mark.parametrize("extra, at_step", [
+    (["--lr", "1e300"], 2),
+    (["--method", "pdf", "--alpha", "1e308", "--map", "map-pdf.bin"], 1),
+], ids=["lr-1e300", "pdf-alpha-1e308"])
+def test_train_pet_non_finite_step_exits_2_writing_nothing(world_dir, cli_run, tmp_path,
+                                                           capsys, extra, at_step):
+    extra = [str(world_dir / a) if a.endswith(".bin") else a for a in extra]
+    out = tmp_path / "run"
+    assert cli(_train_args(world_dir, cli_run["data"], out, *extra)) == 2
+    assert f"non-finite training step {at_step}: loss " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, section", [
+    (["pretrain", "--steps", "4", "--corpus-size", "8"], "pretrain"),
+    (["fit-map", "--method", "pdf", "--steps", "4"], "fitmap"),
+])
+def test_stage1_non_finite_step_exits_2_writing_nothing(world_dir, tmp_path, capsys,
+                                                        argv, section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {"learning_rate": 1e300}}))
+    if argv[0] == "fit-map":
+        argv = argv + ["--backbone", str(world_dir / "backbone.bin"),
+                       "--corpus", str(world_dir / "corpus.json")]
+    out = tmp_path / "out"
+    assert cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert "non-finite training step 2: loss " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _bad_dataset(tmp_path, case):
+    """One valid sample, then one with a token id outside the vocabulary of
+    64 or with 26 tokens, which fit max_seq_len 32 only without a prompt."""
+    tokens = [5] * 12 + [99] if case == "token" else [5] * 25
+    path = tmp_path / f"{case}.jsonl"
+    path.write_text(json.dumps({"tokens": [5] * 12, "label_word": 1}) + "\n"
+                    + json.dumps({"tokens": tokens, "label_word": 1}) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("case, message", [
+    ("token", "sample 1: token id outside the vocabulary of 64"),
+    ("length", "sample 1: 26 tokens + 8 prompt columns exceed max_seq_len 32"),
+])
+@pytest.mark.parametrize("command", ["train-pet", "eval"])
+def test_dataset_outside_backbone_exits_2_writing_nothing(
+        world, world_dir, cli_run, tmp_path, capsys, command, case, message):
+    bad = _bad_dataset(tmp_path, case)
+    out = tmp_path / "run"
+    if command == "train-pet":
+        args = _train_args(world_dir, {"train": cli_run["data"]["train"], "dev": bad},
+                           out, "--method", "none")
+        args[args.index("--pet") + 1] = "prompt"
+    else:
+        pet = tmp_path / "prompt.bin"
+        save_pet(pet, build_pet(PetConfig(kind="prompt"), world.state,
+                                np.random.default_rng(0)))
+        args = ["eval", "--backbone", str(world_dir / "backbone.bin"), "--pet", str(pet),
+                "--data", str(bad), "--out", str(out)]
+    assert cli(args) == 2
+    assert f"{bad}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_with_pet_snapshot_as_backbone_exits_2(cli_run, capsys):
+    pet = str(cli_run["out"] / "pet.bin")
+    assert cli(["eval", "--backbone", pet, "--pet", pet,
+                "--data", str(cli_run["data"]["dev"])]) == 2
+    assert "not a 'backbone' snapshot (header kind 'pet')" in capsys.readouterr().err
 
 
 def test_eval_prints_metric(world_dir, cli_run, capsys):

@@ -16,10 +16,12 @@ from bridgetune import bridges
 from bridgetune.autodiff import Tensor
 from bridgetune.backbone import HiddenTrace, checksum
 from bridgetune.latent_map import (FitMapConfig, RankDeficientError,
-                                   _spline_feature_weights, build_endpoints,
-                                   fit_map, goodness_pdf, goodness_sde,
-                                   latent_times, load_mapnet, new_mapnet,
-                                   save_mapnet)
+                                   _spline_feature_weights, bridge_spec,
+                                   build_endpoints, fit_map, goodness_pdf,
+                                   goodness_sde, latent_times, load_mapnet,
+                                   new_mapnet, running_cost, save_mapnet)
+from bridgetune.pipeline import TrainConfig
+from bridgetune.snapshot import SnapshotFormatError
 
 # ------------------------------------------------------------- endpoint table
 
@@ -334,6 +336,31 @@ def test_goodness_sde_deterministic_given_rng():
     assert a == b
 
 
+# ------------------------------------------------------------- running cost
+
+@pytest.mark.parametrize("cfg_cls", [FitMapConfig, TrainConfig])
+@pytest.mark.parametrize("kind", [bridges.BROWNIAN, bridges.OU])
+def test_running_cost_is_negated_pdf_goodness_or_sde_kl(cfg_cls, kind):
+    rng = np.random.default_rng(12)
+    trace = _tiny_trace(rng)
+    endpoints = build_endpoints(rng.normal(size=(6, 5)), r=2, eta=1.0)
+    pdf_cfg = cfg_cls(method="pdf", bridge_kind=kind, q=0.7, sigma=1.3)
+    sde_cfg = cfg_cls(method="sde", bridge_kind=kind, q=0.7, sigma=1.3, sde_steps=6)
+    spec = bridge_spec(pdf_cfg, endpoints, 4)
+    assert (spec.kind, spec.q, spec.sigma, spec.horizon) == (kind, 0.7, 1.3, 1.0)
+    assert np.array_equal(spec.beta, endpoints.row(4))
+
+    net = _tiny_mapnet(rng)
+    got = running_cost(pdf_cfg, net, trace, spec, None).item()
+    assert got == -goodness_pdf(net, trace, spec).item()
+
+    net = _tiny_mapnet(rng, sde=True)
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    got = running_cost(sde_cfg, net, trace, spec, rng_a).item()
+    assert got == goodness_sde(net, trace, spec, 6, rng_b).item()
+    assert rng_a.random() == rng_b.random()  # the same draws were consumed
+
+
 # -------------------------------------------------------------------- fit_map
 
 def test_fit_map_config_validation():
@@ -418,5 +445,5 @@ def test_mapnet_save_load_round_trip(world, tmp_path):
 
 
 def test_load_mapnet_rejects_other_snapshots(world_dir):
-    with pytest.raises(ValueError, match="not a map snapshot"):
+    with pytest.raises(SnapshotFormatError, match="not a 'mapnet' snapshot"):
         load_mapnet(world_dir / "backbone.bin")

@@ -8,6 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bridgetune.backbone import (ModelConfig, freeze, init_backbone, load_backbone,
+                                 save_backbone)
+from bridgetune.latent_map import build_endpoints, load_mapnet, new_mapnet, save_mapnet
+from bridgetune.pets import PetConfig, build_pet, load_pet, save_pet
 from bridgetune.snapshot import (MAGIC, SnapshotFormatError, load_snapshot,
                                  save_snapshot)
 
@@ -164,3 +168,88 @@ def test_any_truncation_or_byte_change_loads_or_raises_format_error(
     assert isinstance(header, dict)
     assert all(isinstance(v, np.ndarray) and v.dtype == np.float64
                for v in tensors.values())
+
+
+# ------------------------------------------------- backbone, PET and map loaders
+
+TINY = ModelConfig(num_layers=1, hidden_dim=8, num_heads=2, vocab_size=16,
+                   max_seq_len=10, ffn_dim=12)
+TINY_STATE = freeze(init_backbone(TINY, np.random.default_rng(0)))
+
+
+def _tiny_files(d):
+    """backbone.bin, pet.bin (LoRA) and map.bin of a tiny world in d."""
+    rng = np.random.default_rng(1)
+    save_backbone(f"{d}/backbone.bin", TINY_STATE)
+    save_pet(f"{d}/pet.bin", build_pet(PetConfig(kind="lora"), TINY_STATE, rng))
+    endpoints = build_endpoints(TINY_STATE["embed"].data, r=2)
+    save_mapnet(f"{d}/map.bin", new_mapnet(16, (6,), 2, rng, time_augmented=False),
+                "pdf", endpoints)
+
+
+# loader, its file, a file of another kind, a header key it reads, a record it reads
+LOADERS = {
+    "backbone": (load_backbone, "backbone.bin", "pet.bin", "config", "layer0.attn.wq"),
+    "pet": (lambda path: load_pet(path, TINY_STATE), "pet.bin", "map.bin", "config",
+            "layer0.q.A"),
+    "map": (load_mapnet, "map.bin", "backbone.bin", "dims", "map.w0"),
+}
+
+
+def _mistype(value):
+    """The header value with its first int turned into a string."""
+    if isinstance(value, dict):
+        key = next(k for k, v in value.items() if type(v) is int)
+        return {**value, key: str(value[key])}
+    return [str(value[0]), *value[1:]]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("wrong kind", "not a '"), ("renamed header key", "missing or malformed"),
+    ("mistyped header value", "missing or malformed"),
+    ("missing record", "missing"), ("misshapen record", "has shape"),
+])
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_loader_rejects_bad_snapshot_as_format_error(tmp_path, loader, case, message):
+    load, own, other, key, record = LOADERS[loader]
+    _tiny_files(tmp_path)
+    load(tmp_path / own)  # the untouched file loads
+    path = tmp_path / other
+    if case != "wrong kind":
+        header, tensors = load_snapshot(tmp_path / own)
+        if case == "renamed header key":
+            header[key + "_"] = header.pop(key)
+        elif case == "mistyped header value":
+            header[key] = _mistype(header[key])
+        elif case == "missing record":
+            del tensors[record]
+        else:
+            tensors[record] = tensors[record].reshape(-1)
+        path = tmp_path / "bad.bin"
+        save_snapshot(path, header, tensors)
+    with pytest.raises(SnapshotFormatError, match=message):
+        load(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_blobs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("tiny")
+    _tiny_files(d)
+    return {name: (d / LOADERS[name][1]).read_bytes() for name in LOADERS}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(loader=st.sampled_from(sorted(LOADERS)), at=st.floats(0.0, 1.0, exclude_max=True),
+       byte=st.integers(0, 255))
+def test_loader_byte_change_loads_or_raises_format_error(tmp_path, tiny_blobs, loader,
+                                                          at, byte):
+    # bytes are drawn mostly from the header, where a change can break a field
+    blob = tiny_blobs[loader]
+    i = int(at * at * len(blob))
+    path = tmp_path / "fuzz.bin"
+    path.write_bytes(blob[:i] + bytes([byte]) + blob[i + 1:])
+    try:
+        LOADERS[loader][0](path)
+    except SnapshotFormatError:
+        pass
