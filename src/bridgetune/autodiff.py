@@ -33,6 +33,7 @@ class NonFiniteError(FloatingPointError):
 
 _node_ids = itertools.count()
 _grad_enabled = True
+_FLOAT64 = np.dtype(np.float64)
 
 
 @contextmanager
@@ -61,7 +62,11 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "node_id", "node")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        # np.asarray returns a float64 ndarray unchanged; skipping the call
+        # saves its overhead on every graph node
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.node_id = next(_node_ids)
         self.node = None
@@ -93,14 +98,19 @@ class GraphNode:
 
 
 def _make(op_kind, parents, out_data, grad_fn):
-    out = Tensor(out_data, requires_grad=any(p.requires_grad for p in parents))
-    if _grad_enabled and out.requires_grad:
-        out.node = GraphNode(op_kind, parents, grad_fn)
-    return out
+    for p in parents:
+        if p.requires_grad:
+            out = Tensor(out_data, True)
+            if _grad_enabled:
+                out.node = GraphNode(op_kind, parents, grad_fn)
+            return out
+    return Tensor(out_data)
 
 
 def _unbroadcast(grad, shape):
     """Reduce a broadcasted gradient back to the operand's shape."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for ax, s in enumerate(shape):
@@ -176,9 +186,15 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
     return _make("elementwise_mul", [a, b], out, grad_fn)
 
 
+def _mean(x, axis, n):
+    """x.mean(axis, keepdims=True) bit for bit (np.mean is this sum over n),
+    without np.mean's Python overhead; n is x.shape[axis]."""
+    return np.add.reduce(x, axis=axis, keepdims=True) / n
+
+
 def mean_over_axis(a: Tensor, axis: int) -> Tensor:
     n = a.data.shape[axis]
-    out = a.data.mean(axis=axis, keepdims=True)
+    out = _mean(a.data, axis, n)
 
     def grad_fn(g):
         return (np.broadcast_to(g / n, a.data.shape).copy(),)
@@ -189,11 +205,11 @@ def mean_over_axis(a: Tensor, axis: int) -> Tensor:
 def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
+    edges = list(itertools.accumulate((t.data.shape[axis] for t in tensors), initial=0))
+    lead = (slice(None),) * (axis % out.ndim)
 
-    def grad_fn(g):
-        return tuple(np.split(g, offsets, axis=axis))
+    def grad_fn(g):  # the views np.split would give, without its overhead
+        return tuple(g[lead + (slice(lo, hi),)] for lo, hi in zip(edges, edges[1:]))
 
     return _make("concat", tensors, out, grad_fn)
 
@@ -210,22 +226,41 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _make("slice_rows", [a], out, grad_fn)
 
 
-def gather_rows(a: Tensor, indices) -> Tensor:
+def gather_rows(a: Tensor, indices, axis: int = 0) -> Tensor:
+    """The rows of a at indices or, with axis=1, its columns; an index may
+    repeat. Either way the result is a new C-contiguous array."""
     _check_2d("gather_rows", a)
     idx = np.asarray(indices, dtype=np.int64)
-    out = a.data[idx]
+    out = np.take(a.data, idx, axis=axis)
 
     def grad_fn(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        return (full,)
+        if axis == 0:
+            full = np.zeros_like(a.data)
+            np.add.at(full, idx, g)
+            return (full,)
+        # Scattered into a's transpose and returned as its transposed view:
+        # the values and F layout of transpose, row gather, transpose.
+        full = np.zeros(a.data.shape[::-1])
+        np.add.at(full, idx, g.T)
+        return (full.T,)
 
     return _make("gather_rows", [a], out, grad_fn)
 
 
-def transpose(a: Tensor) -> Tensor:
+def transpose(a: Tensor, rows: slice | None = None) -> Tensor:
+    """a.T as a new C-contiguous array or, with a slice of rows, the
+    transpose of those rows: slice_rows and transpose in one node, with
+    their values and layouts."""
     _check_2d("transpose", a)
-    return _make("transpose", [a], a.data.T.copy(), lambda g: (g.T,))
+    if rows is None:
+        return _make("transpose", [a], a.data.T.copy(), lambda g: (g.T,))
+
+    def grad_fn(g):
+        full = np.zeros_like(a.data)
+        full[rows] = g.T
+        return (full,)
+
+    return _make("transpose", [a], a.data[rows].T.copy(), grad_fn)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -242,14 +277,14 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 def layer_norm(a: Tensor, axis: int = 0, eps: float = 1e-5) -> Tensor:
     """Normalize to zero mean, unit variance along axis. Affine terms are
     applied outside via elementwise_mul/add so their gradients come free."""
-    mu = a.data.mean(axis=axis, keepdims=True)
-    var = a.data.var(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (a.data - mu) * inv
+    n = a.data.shape[axis]
+    centred = a.data - _mean(a.data, axis, n)
+    inv = 1.0 / np.sqrt(_mean(centred * centred, axis, n) + eps)  # np.var's arithmetic
+    y = centred * inv
 
     def grad_fn(g):
-        gm = g.mean(axis=axis, keepdims=True)
-        gy = (g * y).mean(axis=axis, keepdims=True)
+        gm = _mean(g, axis, n)
+        gy = _mean(g * y, axis, n)
         return (inv * (g - gm - y * gy),)
 
     return _make("layer_norm", [a], y, grad_fn)
@@ -341,40 +376,44 @@ def backward(root: Tensor) -> dict:
     if root.data.size != 1:
         raise NonScalarRootError(f"root has shape {root.data.shape}")
 
+    # Depth-first post-order from root; each node's parents are pushed in
+    # order and so explored last to first. The gradients that reach a shared
+    # parent are summed in the reverse of this order, and a float sum of
+    # three or more terms depends on its order, so another topological order
+    # would change the results. A node goes back on the stack under its
+    # parents (done is False) and joins the order when popped again.
     topo = []
-    seen = set()
-    stack = [(root, False)]
+    done = {}
+    stack = [root]
     while stack:
-        t, expanded = stack.pop()
-        if expanded:
+        t = stack.pop()
+        state = done.get(t.node_id)
+        if state is None:
+            done[t.node_id] = False
+            stack.append(t)
+            if t.node is not None:
+                for p in t.node.parents:
+                    if p.requires_grad:
+                        stack.append(p)
+        elif not state:
+            done[t.node_id] = True
             topo.append(t)
-            continue
-        if t.node_id in seen:
-            continue
-        seen.add(t.node_id)
-        stack.append((t, True))
-        if t.node is not None:
-            for p in t.node.parents:
-                if p.requires_grad:
-                    stack.append((p, False))
 
     grads = {root.node_id: np.ones_like(root.data)}
     for t in reversed(topo):
+        node = t.node
         g = grads.get(t.node_id)
-        if g is None or t.node is None:
+        if g is None or node is None:
             continue
-        parent_grads = t.node.grad_fn(g)
-        for p, pg in zip(t.node.parents, parent_grads):
+        for p, pg in zip(node.parents, node.grad_fn(g)):
             if pg is None or not p.requires_grad:
                 continue
-            if p.node_id in grads:
-                grads[p.node_id] = grads[p.node_id] + pg
-            else:
-                grads[p.node_id] = pg
+            prev = grads.get(p.node_id)
+            grads[p.node_id] = pg if prev is None else prev + pg
 
-    by_id = {t.node_id: t for t in topo}
-    return {nid: Tensor(g) for nid, g in grads.items()
-            if by_id[nid].requires_grad}
+    if not root.requires_grad:  # every other entry is a requires_grad parent
+        del grads[root.node_id]
+    return {nid: Tensor(g) for nid, g in grads.items()}
 
 
 # ---------------------------------------------------------------- optimizer

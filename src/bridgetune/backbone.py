@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,18 @@ from .autodiff import Tensor
 from .snapshot import check_records, header_config, load_kind, save_snapshot
 
 MASK_ID = 0
+
+
+def check_finite(cfg, low: float, *names, strict: bool = True) -> None:
+    """Raise ValueError unless each named field of cfg is a finite real
+    number above low (with strict=False, no smaller than low)."""
+    for name in names:
+        value = getattr(cfg, name)
+        real = (isinstance(value, (int, float, np.integer, np.floating))
+                and not isinstance(value, bool))
+        if not (real and math.isfinite(value) and (value > low if strict else value >= low)):
+            bound = "above" if strict else "at least"
+            raise ValueError(f"{name} must be a finite number {bound} {low}, got {value!r}")
 
 
 def check_counts(cfg, **minimums) -> None:
@@ -157,7 +170,7 @@ def embed(state: BackboneState, tokens) -> Tensor:
 
 
 def _columns(h: Tensor, cols) -> Tensor:
-    return ad.transpose(ad.gather_rows(ad.transpose(h), cols))
+    return ad.gather_rows(h, cols, axis=1)
 
 
 def _ln_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -186,18 +199,20 @@ def _attention(state: BackboneState, i: int, x: Tensor, pet, xq: Tensor, mask) -
     k = proj("wk", "bk", None, x)
     v = proj("wv", "bv", "v", x)
 
+    # Head j's N x hd output is softmax(scale * q_j^T k_j) v_j^T, where x_j
+    # is the head's hd rows of x; the outputs side by side, transposed, are
+    # the d x N merged states.
     heads = []
     scale = 1.0 / np.sqrt(hd)
     for j in range(cfg.num_heads):
-        qh = ad.slice_rows(q, j * hd, (j + 1) * hd)
-        kh = ad.slice_rows(k, j * hd, (j + 1) * hd)
-        vh = ad.slice_rows(v, j * hd, (j + 1) * hd)
-        scores = ad.scalar_mul(ad.matmul(ad.transpose(qh), kh), scale)
+        lo, hi = j * hd, (j + 1) * hd
+        scores = ad.scalar_mul(ad.matmul(ad.transpose(q, slice(lo, hi)),
+                                         ad.slice_rows(k, lo, hi)), scale)
         if mask is not None:
             scores = ad.add(scores, mask)
         weights = ad.softmax(scores, axis=-1)
-        heads.append(ad.transpose(ad.matmul(weights, ad.transpose(vh))))
-    merged = ad.concat(heads, axis=0) if len(heads) > 1 else heads[0]
+        heads.append(ad.matmul(weights, ad.transpose(v, slice(lo, hi))))
+    merged = ad.transpose(ad.concat(heads, axis=1) if len(heads) > 1 else heads[0])
 
     bo = state[n["bo"]]
     if pet is not None:
@@ -347,6 +362,7 @@ class PretrainConfig:
 
     def __post_init__(self):
         check_counts(self, batch_size=1, max_steps=0)
+        check_finite(self, 0, "learning_rate")
 
 
 def mlm_samples(corpus, rng: np.random.Generator):
@@ -373,9 +389,10 @@ def pretrain_mlm(config: ModelConfig, corpus, hyper: PretrainConfig) -> Backbone
     corpus = list(corpus)
     for _ in range(hyper.max_steps):
         idx = rng.integers(0, len(corpus), size=hyper.batch_size)
-        losses = [ad.cross_entropy_with_logits(forward(state, masked, pos)[0], target)
-                  for masked, target, pos in mlm_samples([corpus[j] for j in idx], rng)]
-        ad.train_step(params, losses, adam, hyper.grad_clip)
+        with np.errstate(all="ignore"):  # a non-finite step raises NonFiniteError
+            losses = [ad.cross_entropy_with_logits(forward(state, masked, pos)[0], target)
+                      for masked, target, pos in mlm_samples([corpus[j] for j in idx], rng)]
+            ad.train_step(params, losses, adam, hyper.grad_clip)
     return state
 
 

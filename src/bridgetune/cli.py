@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -78,6 +79,17 @@ def _float_in(low, high):
     return parse
 
 
+def _positive_float(text):
+    """argparse type: a finite float above 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {value}")
+    return value
+
+
+_positive_float.__name__ = "float"
+
+
 def _load_dataset(path, state, pet_cfg: PetConfig):
     """load_jsonl, then check that every sample fits the backbone: its token
     ids and label word inside the vocabulary, and its tokens plus the PET's
@@ -131,7 +143,7 @@ def _build_parser():
     p.add_argument("--bridge", choices=[bridges.BROWNIAN, bridges.OU],
                    default=bridges.BROWNIAN)
     p.add_argument("--steps", type=_int_at_least(1), default=None)
-    p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--eta", type=_positive_float, default=None)
     p.add_argument("--latent-dim", type=_int_at_least(1), default=None)
 
     p = sub.add_parser("train-pet", parents=[common],
@@ -146,7 +158,7 @@ def _build_parser():
     p.add_argument("--dev", required=True, help="dev JSONL")
     p.add_argument("--steps", type=_int_at_least(1), default=None)
     p.add_argument("--batch-size", type=_int_at_least(1), default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", type=_positive_float, default=None)
     p.add_argument("--eval-every", type=_int_at_least(1), default=None)
     p.add_argument("--metric", choices=["accuracy", "f1", "matthews"], default=None)
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import bridges
 from .autodiff import Tensor
-from .backbone import BackboneState, HiddenTrace, check_counts, forward
+from .backbone import BackboneState, HiddenTrace, check_counts, check_finite, forward
 from .snapshot import check_records, header_value, load_kind, save_snapshot
 from .spline import interp_weights
 
@@ -212,7 +212,9 @@ class FitMapConfig:
     def __post_init__(self):
         if self.method not in ("pdf", "sde"):
             raise ValueError(f"method must be pdf or sde, got {self.method!r}")
-        check_counts(self, latent_dim=1, batch_size=1, max_steps=0, eval_every=1)
+        check_counts(self, latent_dim=1, batch_size=1, max_steps=0, eval_every=1,
+                     sde_steps=4)
+        check_finite(self, 0, "learning_rate")
 
 
 def bridge_spec(cfg, endpoints: EndpointTable, token: int) -> bridges.BridgeSpec:
@@ -272,10 +274,11 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
 
     for step in range(1, cfg.max_steps + 1):
         idx = rng.integers(0, len(traces), size=cfg.batch_size)
-        losses = [running_cost(cfg, mapnet, trace, bridge_spec(cfg, endpoints, target), rng)
-                  for trace, target in (traces[j] for j in idx)]
-        adam.learning_rate = cfg.learning_rate * min(1.0, step / warmup_steps)
-        loss = ad.train_step(params, losses, adam, cfg.grad_clip)
+        with np.errstate(all="ignore"):  # a non-finite step raises NonFiniteError
+            losses = [running_cost(cfg, mapnet, trace, bridge_spec(cfg, endpoints, target), rng)
+                      for trace, target in (traces[j] for j in idx)]
+            adam.learning_rate = cfg.learning_rate * min(1.0, step / warmup_steps)
+            loss = ad.train_step(params, losses, adam, cfg.grad_clip)
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
             history.append((step, loss, holdout_goodness()))
     return mapnet, history

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import bridges
 from .autodiff import Tensor
-from .backbone import BackboneState, check_counts, forward, mask_logits
+from .backbone import BackboneState, check_counts, check_finite, forward, mask_logits
 from .latent_map import bridge_spec, running_cost
 from .pets import PetConfig, build_pet, save_pet
 from .snapshot import save_snapshot
@@ -43,9 +43,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in ("none", "pdf", "sde"):
             raise ValueError(f"method must be none, pdf or sde, got {self.method!r}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        check_counts(self, batch_size=1, max_steps=1, eval_every=1)
+        check_finite(self, 0, "alpha", strict=False)
+        check_finite(self, 0, "learning_rate")
+        check_counts(self, batch_size=1, max_steps=1, eval_every=1, sde_steps=4)
 
 
 def total_loss(logits: Tensor, label_word: int, trace, mapnet, endpoints,
@@ -143,15 +143,16 @@ def train_pet(state: BackboneState, pet_cfg: PetConfig, mapnet, endpoints,
         idx = rng.integers(0, len(train_set), size=cfg.batch_size)
         losses = []
         ce_sum = run_sum = 0.0
-        for j in idx:
-            s = train_set[j]
-            logits, trace = forward(state, s.tokens, s.mask_position, pet=pet)
-            loss_j, ce_j, run_j = total_loss(logits, s.label_word, trace,
-                                             mapnet, endpoints, cfg, rng)
-            losses.append(loss_j)
-            ce_sum += ce_j
-            run_sum += run_j
-        win_loss += ad.train_step(params, losses, adam, cfg.grad_clip)
+        with np.errstate(all="ignore"):  # a non-finite step raises NonFiniteError
+            for j in idx:
+                s = train_set[j]
+                logits, trace = forward(state, s.tokens, s.mask_position, pet=pet)
+                loss_j, ce_j, run_j = total_loss(logits, s.label_word, trace,
+                                                 mapnet, endpoints, cfg, rng)
+                losses.append(loss_j)
+                ce_sum += ce_j
+                run_sum += run_j
+            win_loss += ad.train_step(params, losses, adam, cfg.grad_clip)
         win_ce += ce_sum / len(losses)
         win_run += run_sum / len(losses)
         win_n += 1

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import bridgetune.autodiff as ad
+from bridgetune import backbone, latent_map, pipeline, tasks
+from bridgetune.pets import PET_KINDS, PetConfig, build_pet
 
 RNG_SEED = 20240817
 FD_EPS = 1e-6
@@ -120,11 +122,13 @@ def test_gather_rows_grad(rng):
     idx = np.array([0, 2, 2, 4])
     for _ in range(N_TRIALS):
         _check_op(lambda a: _scalarize(ad.gather_rows(a, idx)), [(5, 3)], rng)
+        _check_op(lambda a: _scalarize(ad.gather_rows(a, idx, axis=1)), [(3, 5)], rng)
 
 
 def test_transpose_grad(rng):
     for _ in range(N_TRIALS):
         _check_op(lambda a: _scalarize(ad.transpose(a)), [(4, 2)], rng)
+        _check_op(lambda a: _scalarize(ad.transpose(a, slice(1, 4))), [(6, 3)], rng)
 
 
 def test_softmax_grad(rng):
@@ -402,3 +406,133 @@ def test_train_step_non_finite_raises_leaving_state_unchanged(scale, value):
     assert adam.step_count == 1
     assert (adam.first_moment[x.node_id].tobytes(),
             adam.second_moment[x.node_id].tobytes()) == moments
+
+
+# ---------------------------------------------------------------- bit identity
+# References written out here, so that each test holds on any CPU.
+
+
+def _random_array(rng, shape, fortran):
+    data = rng.standard_normal(shape) * rng.uniform(0.01, 100.0) + rng.uniform(-5.0, 5.0)
+    return np.asfortranarray(data) if fortran else data
+
+
+def test_layer_norm_and_mean_over_axis_equal_numpy_mean_var_bytes(rng):
+    for trial in range(400):
+        shape = tuple(rng.integers(1, 48, size=2))
+        axis = trial % 2
+        x = ad.Tensor(_random_array(rng, shape, fortran=trial % 4 >= 2), requires_grad=True)
+        g = _random_array(rng, shape, fortran=trial % 3 == 0)
+        inv = 1.0 / np.sqrt(x.data.var(axis=axis, keepdims=True) + 1e-5)
+        y = (x.data - x.data.mean(axis=axis, keepdims=True)) * inv
+        dx = inv * (g - g.mean(axis=axis, keepdims=True)
+                    - y * (g * y).mean(axis=axis, keepdims=True))
+        out = ad.layer_norm(x, axis=axis)
+        assert out.data.tobytes() == y.tobytes()
+        assert out.node.grad_fn(g)[0].tobytes() == dx.tobytes()
+        mean = ad.mean_over_axis(x, axis)
+        assert mean.data.tobytes() == x.data.mean(axis=axis, keepdims=True).tobytes()
+
+
+def _chain_and_node(kind, a):
+    """(one-node op, the chain of older ops it stands for) on a."""
+    cols = [2, 0, 4]
+    if kind == "column-gather":
+        return (ad.gather_rows(a, cols, axis=1),
+                ad.transpose(ad.gather_rows(ad.transpose(a), cols)))
+    if kind == "row-slice-transpose":
+        return ad.transpose(a, slice(1, 4)), ad.transpose(ad.slice_rows(a, 1, 4))
+    # merged heads: 2 heads of N x 3 outputs, side by side then transposed
+    heads = [ad.slice_rows(a, 0, 3), ad.slice_rows(a, 3, 6)]
+    heads = [ad.transpose(h) for h in heads]
+    return (ad.transpose(ad.concat(heads, axis=1)),
+            ad.concat([ad.transpose(h) for h in heads], axis=0))
+
+
+@pytest.mark.parametrize("kind", ["column-gather", "row-slice-transpose", "merged-heads"])
+def test_one_node_ops_equal_their_chains_in_values_and_layout(rng, kind):
+    for trial in range(10):
+        a = ad.Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        node, chain = _chain_and_node(kind, a)
+        assert node.data.tobytes() == chain.data.tobytes()
+        assert node.data.strides == chain.data.strides
+        g = rng.standard_normal(node.data.shape)
+        if trial % 2:
+            g = np.asfortranarray(g)
+        grads = [ad.backward(ad.tensor_sum(ad.elementwise_mul(out, ad.Tensor(g))))[a.node_id].data
+                 for out in (node, chain)]
+        assert grads[0].tobytes() == grads[1].tobytes()
+        assert grads[0].strides == grads[1].strides
+
+
+def _dfs_backward(root):
+    """Reference: the depth-first walk with (tensor, expanded) stack entries,
+    gradients summed into each parent in reverse post-order."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if expanded:
+            topo.append(t)
+            continue
+        if t.node_id in seen:
+            continue
+        seen.add(t.node_id)
+        stack.append((t, True))
+        if t.node is not None:
+            stack.extend((p, False) for p in t.node.parents if p.requires_grad)
+    grads = {root.node_id: np.ones_like(root.data)}
+    for t in reversed(topo):
+        g = grads.get(t.node_id)
+        if g is None or t.node is None:
+            continue
+        for p, pg in zip(t.node.parents, t.node.grad_fn(g)):
+            if pg is not None and p.requires_grad:
+                grads[p.node_id] = grads[p.node_id] + pg if p.node_id in grads else pg
+    by_id = {t.node_id: t for t in topo}
+    return {nid: g for nid, g in grads.items() if by_id[nid].requires_grad}
+
+
+def _mean_loss(losses):
+    loss = losses[0]
+    for extra in losses[1:]:
+        loss = ad.add(loss, extra)
+    return ad.scalar_mul(loss, 1.0 / len(losses))
+
+
+def _pretrain_batch_graph():
+    """train_step's root over one pretraining batch, every weight trainable."""
+    rng = np.random.default_rng(5)
+    state = backbone.init_backbone(backbone.ModelConfig(), rng)
+    corpus = tasks.make_pretrain_corpus(8, 12, rng)
+    return _mean_loss([ad.cross_entropy_with_logits(backbone.forward(state, m, p)[0], t)
+                       for m, t, p in backbone.mlm_samples(corpus, rng)])
+
+
+def _train_pet_graph(method, kind):
+    """train_step's root over one train_pet batch with the bridge running cost."""
+    rng = np.random.default_rng(6)
+    config = backbone.ModelConfig()
+    state = backbone.freeze(backbone.init_backbone(config, rng))
+    pet = build_pet(PetConfig(kind=kind), state, rng)
+    mapnet = latent_map.new_mapnet(2 * config.hidden_dim + (method == "sde"), (16, 8), 4,
+                                   rng, time_augmented=method == "sde")
+    endpoints = latent_map.build_endpoints(state["embed"].data, r=4)
+    cfg = pipeline.TrainConfig(method=method, alpha=0.3)
+    losses = []
+    for s in tasks.make_task_dataset(2, 10, 0.35, rng):
+        logits, trace = backbone.forward(state, s.tokens, s.mask_position, pet=pet)
+        losses.append(pipeline.total_loss(logits, s.label_word, trace, mapnet, endpoints,
+                                          cfg, rng)[0])
+    return _mean_loss(losses)
+
+
+@pytest.mark.parametrize("graph", ["pretrain"] + [f"{m}-{k}" for m in ("pdf", "sde")
+                                                  for k in PET_KINDS])
+def test_backward_equals_depth_first_reference_bytes(graph):
+    root = _pretrain_batch_graph() if graph == "pretrain" else _train_pet_graph(*graph.split("-"))
+    expect = _dfs_backward(root)
+    got = ad.backward(root)
+    assert list(got) == list(expect)
+    for nid, g in expect.items():
+        assert got[nid].data.shape == g.shape
+        assert got[nid].data.tobytes() == g.tobytes()

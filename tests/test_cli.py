@@ -5,6 +5,8 @@ the session-scoped world fixture are shared.
 """
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,12 +94,20 @@ def test_help_exits_0(capsys):
     ["make-task", "--mix", "1.5"],
     ["make-task", "--mix", "0.5"],
     ["make-task", "--mix", "-0.1"],
+    ["train-pet", "--lr", "-0.5"],
+    ["train-pet", "--lr", "0"],
+    ["train-pet", "--lr", "nan"],
+    ["fit-map", "--eta", "-1"],
+    ["fit-map", "--eta", "0"],
+    ["fit-map", "--eta", "inf"],
 ], ids=["sample-bridge-steps", "sample-bridge-paths", "fewshot-k",
         "fewshot-seeds", "train-pet-steps", "train-pet-batch-size",
         "train-pet-eval-every", "pretrain-steps", "pretrain-corpus-size",
         "pretrain-seq-len", "fit-map-steps", "fit-map-latent-dim",
         "make-task-per-class", "make-task-seq-len", "make-task-mix-1.5",
-        "make-task-mix-0.5", "make-task-mix-negative"])
+        "make-task-mix-0.5", "make-task-mix-negative", "train-pet-lr-negative",
+        "train-pet-lr-0", "train-pet-lr-nan", "fit-map-eta-negative", "fit-map-eta-0",
+        "fit-map-eta-inf"])
 def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
                                                           capsys):
     assert cli(["make-task", "--per-class", "4", "--out", str(tmp_path)]) == 0
@@ -113,7 +123,8 @@ def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
     out = tmp_path / "out"
     assert cli(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "usage" in err.lower() and "must be at least" in err
+    bound = "must be a finite number above 0" if argv[1] in ("--lr", "--eta") else "must be at least"
+    assert "usage" in err.lower() and bound in err
     assert not out.exists()
 
 
@@ -131,9 +142,22 @@ def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
     (["make-task"], {"task": {"per_class": 0}}, "need n_per_class >= 1"),
     (["make-task"], {"task": {"per_class": "4"}}, "need n_per_class >= 1"),
     (["make-task"], {"task": {"mix": 0.5}}, "0 <= mix < 0.5"),
+    (["pretrain", "--steps", "2", "--corpus-size", "4"], {"pretrain": {"learning_rate": 0}},
+     "learning_rate must be a finite number above 0, got 0"),
+    (["fit-map", "--method", "pdf"], {"fitmap": {"learning_rate": -1e-3}},
+     "learning_rate must be a finite number above 0, got -0.001"),
+    (["fit-map", "--method", "sde"], {"fitmap": {"sde_steps": 3}},
+     "sde_steps must be at least 4, got 3"),
+    (["train-pet", "--pet", "lora"], {"train": {"learning_rate": math.nan}},
+     "learning_rate must be a finite number above 0, got nan"),
+    (["train-pet", "--pet", "lora"], {"train": {"alpha": math.inf}},
+     "alpha must be a finite number at least 0, got inf"),
+    (["train-pet", "--pet", "lora"], {"train": {"sde_steps": 2}},
+     "sde_steps must be at least 4, got 2"),
 ], ids=["pretrain-batch-size", "model-num-heads", "pretrain-seq-len-over-model",
         "fitmap-max-steps", "fitmap-batch-size", "task-per-class", "task-per-class-string",
-        "task-mix"])
+        "task-mix", "pretrain-learning-rate", "fitmap-learning-rate", "fitmap-sde-steps",
+        "train-learning-rate", "train-alpha", "train-sde-steps"])
 def test_config_value_out_of_range_exits_2_writing_nothing(world_dir, tmp_path, capsys,
                                                            argv, section, message):
     cfg = tmp_path / "cfg.json"
@@ -141,6 +165,10 @@ def test_config_value_out_of_range_exits_2_writing_nothing(world_dir, tmp_path, 
     if argv[0] == "fit-map":
         argv = argv + ["--backbone", str(world_dir / "backbone.bin"),
                        "--corpus", str(world_dir / "corpus.json")]
+    if argv[0] == "train-pet":
+        argv = argv + ["--backbone", str(world_dir / "backbone.bin"),
+                       "--train", str(world_dir / "task.jsonl"),
+                       "--dev", str(world_dir / "task.jsonl")]
     out = tmp_path / "out"
     assert cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -371,8 +399,13 @@ def test_train_pet_non_finite_step_exits_2_writing_nothing(world_dir, cli_run, t
                                                            capsys, extra, at_step):
     extra = [str(world_dir / a) if a.endswith(".bin") else a for a in extra]
     out = tmp_path / "run"
-    assert cli(_train_args(world_dir, cli_run["data"], out, *extra)) == 2
-    assert f"non-finite training step {at_step}: loss " in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli(_train_args(world_dir, cli_run["data"], out, *extra)) == 2
+    err = capsys.readouterr().err
+    assert f"non-finite training step {at_step}: loss " in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 
@@ -388,8 +421,13 @@ def test_stage1_non_finite_step_exits_2_writing_nothing(world_dir, tmp_path, cap
         argv = argv + ["--backbone", str(world_dir / "backbone.bin"),
                        "--corpus", str(world_dir / "corpus.json")]
     out = tmp_path / "out"
-    assert cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
-    assert "non-finite training step 2: loss " in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite training step 2: loss " in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 

@@ -98,11 +98,15 @@ def test_running_cost_reaches_pet_parameters(world):
 def test_train_config_validation():
     with pytest.raises(ValueError, match="method"):
         TrainConfig(method="both")
-    with pytest.raises(ValueError, match="alpha"):
-        TrainConfig(alpha=-0.1)
-    for key in ("batch_size", "max_steps", "eval_every"):
-        with pytest.raises(ValueError, match=f"{key} must be at least 1"):
-            TrainConfig(**{key: 0})
+    for bad in (-0.1, math.nan, math.inf, "0.1"):
+        with pytest.raises(ValueError, match="alpha must be a finite number at least 0"):
+            TrainConfig(alpha=bad, method="pdf")
+    for bad in (0, 0.0, -5e-3, math.nan, math.inf, -math.inf, True):
+        with pytest.raises(ValueError, match="learning_rate must be a finite number above 0"):
+            TrainConfig(learning_rate=bad)
+    for key, low in (("batch_size", 1), ("max_steps", 1), ("eval_every", 1), ("sde_steps", 4)):
+        with pytest.raises(ValueError, match=f"{key} must be at least {low}"):
+            TrainConfig(**{key: low - 1})
         for bad in ("4", 4.0, True):
             with pytest.raises(ValueError, match=f"{key} must be an integer"):
                 TrainConfig(**{key: bad})
