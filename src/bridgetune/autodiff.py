@@ -127,18 +127,36 @@ def _check_2d(op, *tensors):
 
 # ---------------------------------------------------------------- ops
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b or, with bias, a @ b + bias in one node: the values, and the
+    gradients in the order backward sums them, of add(matmul(a, b), bias)."""
     _check_2d("matmul", a, b)
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatchError(
             f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
     out = a.data @ b.data
 
+    if bias is None:
+        def grad_fn(g):
+            return (g @ b.data.T if a.requires_grad else None,
+                    a.data.T @ g if b.requires_grad else None)
+
+        return _make("matmul", [a, b], out, grad_fn)
+
+    try:
+        biased = out + bias.data
+    except ValueError:
+        biased = None
+    if biased is None or biased.shape != out.shape:
+        raise ShapeMismatchError(f"matmul: bias of shape {bias.data.shape} for {out.shape}")
+    out = biased
+
     def grad_fn(g):
         return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
+                a.data.T @ g if b.requires_grad else None,
+                _unbroadcast(g, bias.data.shape) if bias.requires_grad else None)
 
-    return _make("matmul", [a, b], out, grad_fn)
+    return _make("matmul", [a, b, bias], out, grad_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -274,20 +292,39 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make("softmax", [a], s, grad_fn)
 
 
-def layer_norm(a: Tensor, axis: int = 0, eps: float = 1e-5) -> Tensor:
-    """Normalize to zero mean, unit variance along axis. Affine terms are
-    applied outside via elementwise_mul/add so their gradients come free."""
+def layer_norm(a: Tensor, axis: int = 0, eps: float = 1e-5,
+               gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
+    """Normalize to zero mean, unit variance along axis. With gain and bias
+    (given together), gain * y + bias in one node: the values, and the
+    gradients in the order backward sums them, of
+    add(elementwise_mul(gain, layer_norm(a)), bias)."""
     n = a.data.shape[axis]
     centred = a.data - _mean(a.data, axis, n)
     inv = 1.0 / np.sqrt(_mean(centred * centred, axis, n) + eps)  # np.var's arithmetic
     y = centred * inv
 
-    def grad_fn(g):
+    def normalized_grad(g):
         gm = _mean(g, axis, n)
         gy = _mean(g * y, axis, n)
-        return (inv * (g - gm - y * gy),)
+        return inv * (g - gm - y * gy)
 
-    return _make("layer_norm", [a], y, grad_fn)
+    if gain is None and bias is None:
+        return _make("layer_norm", [a], y, lambda g: (normalized_grad(g),))
+    if gain is None or bias is None:
+        raise ValueError("layer_norm: gain and bias go together")
+    try:
+        out = gain.data * y + bias.data
+    except ValueError:
+        raise ShapeMismatchError(f"layer_norm: gain {gain.data.shape} and bias "
+                                 f"{bias.data.shape} for {y.shape}")
+
+    def grad_fn(g):
+        return (_unbroadcast(g * y, gain.data.shape) if gain.requires_grad else None,
+                normalized_grad(_unbroadcast(g * gain.data, y.shape))
+                if a.requires_grad else None,
+                _unbroadcast(g, bias.data.shape) if bias.requires_grad else None)
+
+    return _make("layer_norm", [gain, a, bias], out, grad_fn)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)

@@ -156,14 +156,31 @@ def checksum(state: BackboneState) -> str:
     return h.hexdigest()
 
 
-def embed(state: BackboneState, tokens) -> Tensor:
-    """Token embedding plus positional embedding, as a d x N matrix."""
-    cfg = state.config
-    tokens = list(tokens)
-    if any(t < 0 or t >= cfg.vocab_size for t in tokens):
-        raise ValueError(f"token id outside vocabulary of {cfg.vocab_size}")
-    if len(tokens) > cfg.max_seq_len:
-        raise ValueError(f"sequence length {len(tokens)} exceeds {cfg.max_seq_len}")
+def check_input(config: ModelConfig, tokens, mask_position=None) -> list:
+    """tokens as a list, after checking without a forward pass that a
+    backbone of config takes them: 1 to max_seq_len integer ids (not bools)
+    inside the vocabulary and, when given, mask_position one of their
+    positions. Raises ValueError."""
+    try:
+        tokens = list(tokens)
+    except TypeError:
+        raise ValueError(f"expected a sequence of token ids, got {tokens!r}") from None
+    for t in tokens:
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            raise ValueError(f"token id {t!r} is not an integer")
+        if not 0 <= t < config.vocab_size:
+            raise ValueError(f"token id {t} outside vocabulary of {config.vocab_size}")
+    if not 1 <= len(tokens) <= config.max_seq_len:
+        raise ValueError(f"sequence length {len(tokens)} outside 1 to {config.max_seq_len}")
+    if mask_position is not None and not 0 <= mask_position < len(tokens):
+        raise ValueError(f"mask position {mask_position} outside {len(tokens)} positions")
+    return tokens
+
+
+def embed(state: BackboneState, tokens, mask_position=None) -> Tensor:
+    """Token embedding plus positional embedding, as a d x N matrix, of
+    input that check_input accepts."""
+    tokens = check_input(state.config, tokens, mask_position)
     tok = ad.gather_rows(state["embed"], tokens)
     pos = ad.gather_rows(state["pos"], list(range(len(tokens))))
     return ad.transpose(ad.add(tok, pos))
@@ -171,10 +188,6 @@ def embed(state: BackboneState, tokens) -> Tensor:
 
 def _columns(h: Tensor, cols) -> Tensor:
     return ad.gather_rows(h, cols, axis=1)
-
-
-def _ln_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    return ad.add(ad.elementwise_mul(gain, ad.layer_norm(x, axis=0)), bias)
 
 
 def _attention(state: BackboneState, i: int, x: Tensor, pet, xq: Tensor, mask) -> Tensor:
@@ -188,7 +201,7 @@ def _attention(state: BackboneState, i: int, x: Tensor, pet, xq: Tensor, mask) -
         bias = state[n[bname]]
         if pet is not None:
             bias = pet.bias(n[bname], bias)
-        out = ad.add(ad.matmul(state[n[wname]], x), bias)
+        out = ad.matmul(state[n[wname]], x, bias=bias)
         if pet is not None and which is not None:
             delta = pet.qv_delta(i, which, x)
             if delta is not None:
@@ -217,7 +230,7 @@ def _attention(state: BackboneState, i: int, x: Tensor, pet, xq: Tensor, mask) -
     bo = state[n["bo"]]
     if pet is not None:
         bo = pet.bias(n["bo"], bo)
-    return ad.add(ad.matmul(state[n["wo"]], merged), bo)
+    return ad.matmul(state[n["wo"]], merged, bias=bo)
 
 
 def _ffn(state: BackboneState, i: int, x: Tensor, pet) -> Tensor:
@@ -226,8 +239,8 @@ def _ffn(state: BackboneState, i: int, x: Tensor, pet) -> Tensor:
     if pet is not None:
         b1 = pet.bias(n["b1"], b1)
         b2 = pet.bias(n["b2"], b2)
-    hidden = ad.gelu(ad.add(ad.matmul(state[n["w1"]], x), b1))
-    return ad.add(ad.matmul(state[n["w2"]], hidden), b2)
+    hidden = ad.gelu(ad.matmul(state[n["w1"]], x, bias=b1))
+    return ad.matmul(state[n["w2"]], hidden, bias=b2)
 
 
 def _layer(state: BackboneState, i: int, h: Tensor, pet, mask=None, cols=None) -> Tensor:
@@ -240,7 +253,7 @@ def _layer(state: BackboneState, i: int, h: Tensor, pet, mask=None, cols=None) -
     if pet is not None:
         b1 = pet.bias(names["ln1_bias"], b1)
         b2 = pet.bias(names["ln2_bias"], b2)
-    x = _ln_affine(h, g1, b1)
+    x = ad.layer_norm(h, gain=g1, bias=b1)
     xq = x
     if cols is not None:
         xq, h = _columns(x, cols), _columns(h, cols)
@@ -248,7 +261,7 @@ def _layer(state: BackboneState, i: int, h: Tensor, pet, mask=None, cols=None) -
     if pet is not None:
         attn = pet.adapt(i, "attn", attn)
     h = ad.add(h, attn)
-    ff = _ffn(state, i, _ln_affine(h, g2, b2), pet)
+    ff = _ffn(state, i, ad.layer_norm(h, gain=g2, bias=b2), pet)
     if pet is not None:
         ff = pet.adapt(i, "ffn", ff)
     return ad.add(h, ff)
@@ -256,12 +269,9 @@ def _layer(state: BackboneState, i: int, h: Tensor, pet, mask=None, cols=None) -
 
 def _input_states(state: BackboneState, tokens, mask_position: int, pet) -> Tensor:
     """Embedded sequence with the PET's input extension attached."""
-    h = embed(state, tokens)
+    h = embed(state, tokens, mask_position)
     if pet is not None:
         h = pet.attach_input(h, state.config.max_seq_len)
-    n_positions = h.data.shape[1]
-    if not 0 <= mask_position < n_positions:
-        raise ValueError(f"mask position {mask_position} outside {n_positions} positions")
     return h
 
 

@@ -19,8 +19,8 @@ from . import bridges
 from .analysis import (StatisticsError, bridge_distance, centroid_distance,
                        pearson, trace_from_arrays)
 from .autodiff import NonFiniteError
-from .backbone import (ModelConfig, PretrainConfig, freeze, load_backbone,
-                       masked_accuracy, mlm_samples, pretrain_mlm,
+from .backbone import (ModelConfig, PretrainConfig, check_input, freeze,
+                       load_backbone, masked_accuracy, mlm_samples, pretrain_mlm,
                        save_backbone)
 from .latent_map import (EndpointTable, FitMapConfig, build_endpoints,
                          fit_map, load_mapnet, save_mapnet)
@@ -225,7 +225,9 @@ def _cmd_pretrain(args):
     return 0
 
 
-def _load_corpus(path):
+def _load_corpus(path, state):
+    """The corpus JSON: a non-empty list of sequences, each one that
+    backbone.check_input accepts for state's config."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             corpus = json.load(f)
@@ -233,13 +235,18 @@ def _load_corpus(path):
         raise DataError(f"cannot read corpus {path}: {e}") from e
     if not isinstance(corpus, list) or not corpus:
         raise DataError(f"{path}: expected a non-empty list of sequences")
+    for i, seq in enumerate(corpus):
+        try:
+            check_input(state.config, seq)
+        except ValueError as e:
+            raise DataError(f"{path}: sequence {i}: {e}") from e
     return corpus
 
 
 def _cmd_fit_map(args):
     cfg_file = _load_config(args.config)
     state = load_backbone(args.backbone)
-    corpus = _load_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus, state)
     overrides = {"method": args.method, "bridge_kind": args.bridge,
                  "max_steps": args.steps, "latent_dim": args.latent_dim,
                  "seed": args.seed}

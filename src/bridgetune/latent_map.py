@@ -17,7 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from . import bridges
 from .autodiff import Tensor
-from .backbone import BackboneState, HiddenTrace, check_counts, check_finite, forward
+from .backbone import (BackboneState, HiddenTrace, check_counts, check_finite, check_input,
+                       forward)
 from .snapshot import check_records, header_value, load_kind, save_snapshot
 from .spline import interp_weights
 
@@ -87,13 +88,20 @@ class MapNet:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.add(ad.matmul(w, h), b)
+            h = ad.matmul(w, h, bias=b)
             if i < last:
                 h = ad.relu(h)
         return h
 
     def trainables(self):
         return self.weights + self.biases
+
+    def frozen(self) -> "MapNet":
+        """This map with tensors that share its arrays but take no gradient,
+        for running costs whose backward must not reach the map."""
+        return MapNet(weights=[Tensor(w.data) for w in self.weights],
+                      biases=[Tensor(b.data) for b in self.biases],
+                      dims=self.dims, time_augmented=self.time_augmented)
 
     @property
     def out_dim(self) -> int:
@@ -234,9 +242,9 @@ def running_cost(cfg, mapnet: MapNet, trace: HiddenTrace, spec: bridges.BridgeSp
 
 
 def collect_traces(state: BackboneState, samples):
-    """Frozen-backbone traces for (tokens, target, mask_position) samples.
-    The backbone never changes during map fitting, so traces are computed
-    once, off-graph."""
+    """Frozen-backbone (trace, target) pairs for (tokens, target,
+    mask_position) samples, computed off-graph. The backbone never changes
+    during map fitting, so each sample's trace is computed once."""
     traces = []
     with ad.no_grad():
         for tokens, target, pos in samples:
@@ -251,12 +259,20 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
 
     samples/holdout: (tokens, target, mask_position) triples. Returns
     (MapNet, history) where history rows are (step, train_loss, holdout_goodness).
+
+    A sample's trace is collected when a batch first draws it, so a short fit
+    runs no forward for samples it never draws; every sample is checked
+    (backbone.check_input) before the first step all the same. Holdout
+    traces are collected up front, as the first holdout score reads them all.
     """
+    samples = list(samples)
+    for tokens, _, pos in samples:
+        check_input(state.config, tokens, pos)
     rng = np.random.default_rng(cfg.seed)
     input_dim = 2 * state.config.hidden_dim + (1 if cfg.method == "sde" else 0)
     mapnet = new_mapnet(input_dim, cfg.hidden_dims, cfg.latent_dim, rng,
                         time_augmented=cfg.method == "sde")
-    traces = collect_traces(state, samples)
+    traces = {}  # sample index -> (trace, target)
     held = collect_traces(state, holdout) if holdout else None
     params = mapnet.trainables()
     adam = ad.AdamState(params, cfg.learning_rate)
@@ -273,7 +289,9 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
         return total / len(held)
 
     for step in range(1, cfg.max_steps + 1):
-        idx = rng.integers(0, len(traces), size=cfg.batch_size)
+        idx = rng.integers(0, len(samples), size=cfg.batch_size).tolist()
+        new = [j for j in dict.fromkeys(idx) if j not in traces]  # first-seen order
+        traces.update(zip(new, collect_traces(state, [samples[j] for j in new])))
         with np.errstate(all="ignore"):  # a non-finite step raises NonFiniteError
             losses = [running_cost(cfg, mapnet, trace, bridge_spec(cfg, endpoints, target), rng)
                       for trace, target in (traces[j] for j in idx)]
@@ -300,7 +318,8 @@ def save_mapnet(path, mapnet: MapNet, method: str, endpoints: EndpointTable,
 
 
 def load_mapnet(path):
-    """Returns (MapNet, EndpointTable, header)."""
+    """Returns (MapNet, EndpointTable, header); the map's tensors are
+    frozen (requires_grad False), as load_backbone's are."""
     header, tensors = load_kind(path, "mapnet")
     dims = tuple(header_value(path, header, "dims", lambda v: isinstance(v, list) and (
         len(v) >= 2 and all(type(d) is int and d >= 1 for d in v))))
@@ -314,7 +333,7 @@ def load_mapnet(path):
         shapes[f"map.w{i}"] = (dims[i + 1], dims[i])
         shapes[f"map.b{i}"] = (dims[i + 1], 1)
     check_records(path, tensors, shapes)
-    weights = [Tensor(tensors[f"map.w{i}"], requires_grad=True) for i in range(n_layers)]
-    biases = [Tensor(tensors[f"map.b{i}"], requires_grad=True) for i in range(n_layers)]
+    weights = [Tensor(tensors[f"map.w{i}"]) for i in range(n_layers)]
+    biases = [Tensor(tensors[f"map.b{i}"]) for i in range(n_layers)]
     mapnet = MapNet(weights=weights, biases=biases, dims=dims, time_augmented=time_augmented)
     return mapnet, EndpointTable(beta=tensors["endpoints.beta"], eta=eta, r=r), header

@@ -125,8 +125,11 @@ def train_pet(state: BackboneState, pet_cfg: PetConfig, mapnet, endpoints,
               train_set, dev_set, cfg: TrainConfig):
     """Optimize only the PET parameters under the combined loss; dev is
     evaluated every eval_every steps and the best-on-dev parameters are
-    returned together with the metric history."""
+    returned together with the metric history. The running cost reads a
+    frozen view of mapnet (MapNet.frozen), so backward never reaches the map."""
     rng = np.random.default_rng(cfg.seed)
+    if mapnet is not None:
+        mapnet = mapnet.frozen()
     pet = build_pet(pet_cfg, state, rng)
     params = pet.trainables()
     adam = ad.AdamState(params, cfg.learning_rate)

@@ -178,6 +178,15 @@ def _op_cases(rng):
     cases["cross_entropy_with_logits"] = (
         lambda a=a, tgt=tgt: ad.cross_entropy_with_logits(a, tgt), [a])
 
+    # one-node forms of existing kinds, drawn last so the cases above keep their data
+    a, b, c = _leaf(rng, 3, 4), _leaf(rng, 4, 2), _leaf(rng, 3, 1)
+    cases["matmul bias"] = (lambda a=a, b=b, c=c: sq(ad.matmul(a, b, bias=c)), [a, b, c])
+
+    g, a, c, w = _leaf(rng, 5, 1), _leaf(rng, 5, 2), _leaf(rng, 5, 1), _leaf(rng, 5, 2)
+    cases["layer_norm affine"] = (
+        lambda g=g, a=a, c=c, w=w: ad.tensor_sum(
+            ad.elementwise_mul(ad.layer_norm(a, gain=g, bias=c), w)), [g, a, c, w])
+
     return cases
 
 
@@ -219,7 +228,7 @@ def test_criterion_04_gradient_suite():
         for name, (fn, leaves) in cases.items():
             w = _fd_worst(fn, leaves, np.random.default_rng(trial))
             worst_op[name] = max(worst_op.get(name, 0.0), w)
-    covered = set(worst_op) == set(ad.op_kinds())
+    covered = {name.split()[0] for name in worst_op} == set(ad.op_kinds())
 
     worst_pdf = 0.0
     for trial in range(20):
@@ -253,7 +262,8 @@ def test_criterion_04_gradient_suite():
     worst = max(worst_op.values())
     ok = covered and worst < 1e-4 and worst_pdf < 1e-4 and worst_sde < 1e-3
     _check("4 gradient suite", ok,
-           f"{len(worst_op)}/{len(ad.op_kinds())} ops worst {worst:.1e} (tol 1e-4), "
+           f"{len(ad.op_kinds())} op kinds in {len(worst_op)} cases, worst {worst:.1e} "
+           f"(tol 1e-4), "
            f"pdf goodness {worst_pdf:.1e} (tol 1e-4), "
            f"sde goodness {worst_sde:.1e} (tol 1e-3), 20 trials each")
 

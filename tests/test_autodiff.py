@@ -66,6 +66,8 @@ def test_matmul_grad(rng):
     for _ in range(N_TRIALS):
         m, k, n = rng.integers(1, 5, size=3)
         _check_op(lambda a, b: _scalarize(ad.matmul(a, b)), [(m, k), (k, n)], rng)
+        _check_op(lambda a, b, c: _scalarize(ad.matmul(a, b, bias=c)),
+                  [(m, k), (k, n), (m, 1)], rng)
 
 
 def test_add_sub_grad(rng):
@@ -141,6 +143,9 @@ def test_layer_norm_grad(rng):
     for axis in (0, 1):
         for _ in range(N_TRIALS):
             _check_op(lambda a: _scalarize(ad.layer_norm(a, axis)), [(4, 3)], rng)
+    for _ in range(N_TRIALS):
+        _check_op(lambda gain, a, bias: _scalarize(ad.layer_norm(a, gain=gain, bias=bias)),
+                  [(4, 1), (4, 3), (4, 1)], rng)
 
 
 def test_gelu_grad(rng):
@@ -251,6 +256,13 @@ def test_shape_mismatch_raises(rng):
     b = ad.Tensor(rng.standard_normal((2, 3)))
     with pytest.raises(ad.ShapeMismatchError):
         ad.matmul(a, b)
+    bt = ad.Tensor(b.data.T)
+    with pytest.raises(ad.ShapeMismatchError):
+        ad.matmul(a, bt, bias=ad.Tensor(np.zeros((3, 1))))
+    with pytest.raises(ad.ShapeMismatchError):  # a bias may not widen the product
+        ad.matmul(a, bt, bias=ad.Tensor(np.zeros((2, 2, 2))))
+    with pytest.raises(ValueError):
+        ad.layer_norm(a, gain=ad.Tensor(np.ones((2, 1))))
 
 
 def test_apply_dispatch_covers_all_ops():
@@ -463,6 +475,67 @@ def test_one_node_ops_equal_their_chains_in_values_and_layout(rng, kind):
                  for out in (node, chain)]
         assert grads[0].tobytes() == grads[1].tobytes()
         assert grads[0].strides == grads[1].strides
+
+
+AFFINE_LEAVES = ("x", "gain", "beta", "wq", "bq", "wk", "bk", "wv", "bv")
+
+
+def _affine_block(leaves, fused):
+    """A layer's start: a layer norm with gain and bias feeding three biased
+    projections, so that three gradients meet at the normalized states. In
+    one-node forms or as the chains those stand for."""
+    t = leaves
+    if fused:
+        h = ad.layer_norm(t["x"], gain=t["gain"], bias=t["beta"])
+        return h, [ad.matmul(t[f"w{p}"], h, bias=t[f"b{p}"]) for p in "qkv"]
+    h = ad.add(ad.elementwise_mul(t["gain"], ad.layer_norm(t["x"])), t["beta"])
+    return h, [ad.add(ad.matmul(t[f"w{p}"], h), t[f"b{p}"]) for p in "qkv"]
+
+
+@pytest.mark.parametrize("frozen", [(), ("gain", "wk"), ("x",), ("x", "gain", "wq", "wk", "wv")],
+                         ids=["all-trainable", "gain-wk-frozen", "x-frozen", "biases-only"])
+def test_fused_affine_forms_equal_their_chains_in_values_layout_and_sums(rng, frozen):
+    for trial in range(10):
+        d, n = (int(v) for v in rng.integers(1, 9, size=2))
+        shapes = {"x": (d, n), "gain": (d, 1), "beta": (d, 1)}
+        shapes.update({f"{k}{p}": (d, d) if k == "w" else (d, 1) for p in "qkv" for k in "wb"})
+        data = {k: _random_array(rng, shapes[k], fortran=False) for k in AFFINE_LEAVES}
+        cotangents = [_random_array(rng, (d, n), fortran=trial % 2 == 1) for _ in "qkv"]
+        results = []
+        for fused in (True, False):
+            leaves = {k: ad.Tensor(v.copy(), requires_grad=k not in frozen)
+                      for k, v in data.items()}
+            h, outs = _affine_block(leaves, fused)
+            parts = [ad.tensor_sum(ad.elementwise_mul(o, ad.Tensor(c)))
+                     for o, c in zip(outs, cotangents)]
+            grads = ad.backward(ad.add(ad.add(parts[0], parts[1]), parts[2]))
+            results.append(([h.data] + [o.data for o in outs],
+                            {k: grads[t.node_id].data for k, t in leaves.items()
+                             if t.node_id in grads}))
+        (fused_out, fused_grads), (chain_out, chain_grads) = results
+        for a, b in zip(fused_out, chain_out):
+            assert a.tobytes() == b.tobytes() and a.strides == b.strides
+        assert list(fused_grads) == list(chain_grads) == [k for k in AFFINE_LEAVES
+                                                          if k not in frozen]
+        for k, g in chain_grads.items():
+            assert fused_grads[k].tobytes() == g.tobytes(), k
+            assert fused_grads[k].strides == g.strides, k
+
+
+def test_pretraining_sample_graph_has_125_nodes(monkeypatch):
+    """forward (its trace included) and the cross-entropy record 124 nodes
+    per sample; the loss sum adds one per sample after the first, and the
+    mean's scale one more."""
+    kinds = []
+    make = ad._make
+
+    def counting_make(op_kind, parents, out_data, grad_fn):
+        kinds.append(op_kind)
+        return make(op_kind, parents, out_data, grad_fn)
+
+    monkeypatch.setattr(ad, "_make", counting_make)
+    _pretrain_batch_graph()
+    assert len(kinds) == 8 * 125
 
 
 def _dfs_backward(root):

@@ -507,6 +507,25 @@ def test_fit_map_cli_round_trip(world_dir, tmp_path, capsys):
     assert net.time_augmented is False
 
 
+@pytest.mark.parametrize("corpus, index, message", [
+    ([[5] * 12, [5] * 11 + [99]], 1, "token id 99 outside vocabulary of 64"),
+    ([[5] * 12, [5] * 12, [5] * 39], 2, "sequence length 39 outside 1 to 32"),
+    ([[5] * 12, []], 1, "sequence length 0 outside 1 to 32"),
+    ([[5, "a", 5]], 0, "token id 'a' is not an integer"),
+    ([1, 2], 0, "expected a sequence of token ids, got 1"),
+], ids=["token-99", "39-tokens", "empty-sequence", "string-token", "flat-list"])
+def test_fit_map_bad_corpus_exits_2_naming_the_sequence(world_dir, tmp_path, capsys,
+                                                       corpus, index, message):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(corpus))
+    out = tmp_path / "out"
+    rc = cli(["fit-map", "--backbone", str(world_dir / "backbone.bin"), "--corpus", str(path),
+              "--method", "pdf", "--steps", "2", "--out", str(out)])
+    assert rc == 2
+    assert f"error: {path}: sequence {index}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_single_run_not_computable(cli_run, tmp_path, capsys):
     rc = cli(["analyze", "--runs", str(cli_run["out"]),
               "--out", str(tmp_path)])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import bridgetune.autodiff as ad
-from bridgetune import bridges
+from bridgetune import bridges, latent_map
 from bridgetune.autodiff import Tensor
 from bridgetune.backbone import HiddenTrace, checksum
 from bridgetune.latent_map import (FitMapConfig, RankDeficientError,
@@ -431,6 +431,87 @@ def test_fit_map_history_without_holdout_is_nan(world):
     assert all(isinstance(h[1], float) for h in history)
 
 
+def _fit_map_collecting_up_front(state, samples, cfg, endpoints, holdout=None):
+    """Reference: fit_map with every sample's trace collected before step 1."""
+    rng = np.random.default_rng(cfg.seed)
+    net = new_mapnet(2 * state.config.hidden_dim + (cfg.method == "sde"), cfg.hidden_dims,
+                     cfg.latent_dim, rng, time_augmented=cfg.method == "sde")
+    traces = collect_traces(state, samples)
+    held = collect_traces(state, holdout) if holdout else []
+    adam = ad.AdamState(net.trainables(), cfg.learning_rate)
+    warmup = max(1, int(cfg.warmup_ratio * cfg.max_steps))
+    history = []
+    for step in range(1, cfg.max_steps + 1):
+        idx = rng.integers(0, len(traces), size=cfg.batch_size)
+        losses = [running_cost(cfg, net, trace, bridge_spec(cfg, endpoints, target), rng)
+                  for trace, target in (traces[j] for j in idx)]
+        adam.learning_rate = cfg.learning_rate * min(1.0, step / warmup)
+        loss = ad.train_step(net.trainables(), losses, adam, cfg.grad_clip)
+        if step % cfg.eval_every == 0 or step == cfg.max_steps:
+            score = math.nan
+            if held:
+                score = -sum(running_cost(cfg, net, trace, bridge_spec(cfg, endpoints, target),
+                                          np.random.default_rng(cfg.seed)).item()
+                             for trace, target in held) / len(held)
+            history.append((step, loss, score))
+    return net, history
+
+
+@pytest.mark.parametrize("method,steps,batch,holdout", [
+    ("pdf", 12, 8, 6), ("pdf", 9, 4, 0), ("sde", 8, 6, 4), ("sde", 6, 4, 0), ("pdf", 2, 3, 3)],
+    ids=["pdf-holdout", "pdf", "sde-holdout", "sde", "pdf-short"])
+def test_fit_map_equals_collecting_every_trace_up_front(world, method, steps, batch, holdout):
+    samples = world.fit_samples[:40]  # the short case draws 6 of them at most
+    hold = world.fit_samples[160:160 + holdout] or None
+    cfg = FitMapConfig(method=method, max_steps=steps, batch_size=batch, eval_every=3,
+                       hidden_dims=(16, 8), seed=7)
+    net, history = fit_map(world.state, iter(samples), cfg, world.endpoints, holdout=hold)
+    ref, ref_history = _fit_map_collecting_up_front(world.state, samples, cfg,
+                                                    world.endpoints, holdout=hold)
+    assert [(s, loss.hex()) for s, loss, _ in history] == \
+        [(s, loss.hex()) for s, loss, _ in ref_history]
+    assert [score.hex() for _, _, score in history] == \
+        [score.hex() for _, _, score in ref_history]
+    for a, b in zip(net.trainables(), ref.trainables()):
+        assert a.data.tobytes() == b.data.tobytes()
+
+
+def test_fit_map_runs_one_forward_per_drawn_sample_and_holdout_sample(world, monkeypatch):
+    forwards, costed = [], []
+    forward, cost = latent_map.forward, latent_map.running_cost
+
+    def counting_forward(state, tokens, mask_position, pet=None):
+        forwards.append(mask_position)
+        return forward(state, tokens, mask_position, pet)
+
+    def recording_cost(cfg, mapnet, trace, spec, rng):
+        costed.append(trace)  # kept alive, so identities stay distinct
+        return cost(cfg, mapnet, trace, spec, rng)
+
+    monkeypatch.setattr(latent_map, "forward", counting_forward)
+    monkeypatch.setattr(latent_map, "running_cost", recording_cost)
+    samples, hold = world.fit_samples[:100], world.fit_samples[100:105]
+    cfg = FitMapConfig(method="sde", max_steps=4, batch_size=8, eval_every=4, seed=1)
+    fit_map(world.state, samples, cfg, world.endpoints, holdout=hold)
+    # every trace, holdout ones included, goes into a running cost at least once
+    distinct = len({id(trace) for trace in costed})
+    assert len(forwards) == distinct < len(samples)
+    assert distinct > len(hold)
+
+
+@pytest.mark.parametrize("bad", [
+    ([5] * 11 + [99], 3), ([5] * 39, 3), ([], 0), ([5, "a", 5], 1), ([5, True, 5], 1),
+    ([5, 5, 5], 3)],
+    ids=["token-99", "39-tokens", "empty", "string-token", "bool-token", "mask-position"])
+def test_fit_map_rejects_a_bad_sample_that_no_batch_draws(world, bad):
+    tokens, pos = bad
+    samples = list(world.fit_samples[:20]) + [(tokens, 5, pos)]
+    cfg = FitMapConfig(method="pdf", max_steps=0)
+    with pytest.raises(ValueError):
+        fit_map(world.state, samples, cfg, world.endpoints)
+    fit_map(world.state, samples[:20], cfg, world.endpoints)
+
+
 # ------------------------------------------------------------ save and load
 
 def test_mapnet_save_load_round_trip(world, tmp_path):
@@ -447,6 +528,7 @@ def test_mapnet_save_load_round_trip(world, tmp_path):
     assert np.array_equal(endpoints.beta, world.endpoints.beta)
     for a, b in zip(net.trainables(), world.pdf_map.trainables()):
         assert np.array_equal(a.data, b.data)
+        assert not a.requires_grad  # frozen, as a loaded backbone is
     assert net.time_augmented == world.pdf_map.time_augmented
 
 

@@ -266,6 +266,37 @@ def test_train_pet_backbone_untouched(world):
     assert checksum(world.state) == before
 
 
+@pytest.mark.parametrize("method", ["pdf", "sde"])
+def test_train_pet_backward_never_reaches_the_map(world, monkeypatch, method):
+    mapnet = world.pdf_map if method == "pdf" else world.sde_map
+    before = [t.data.copy() for t in mapnet.trainables()]
+    used, keys = [], set()
+    cost, backward = pipeline.running_cost, ad.backward
+
+    def recording_cost(cfg, net, trace, spec, rng):
+        used.append(net)
+        return cost(cfg, net, trace, spec, rng)
+
+    def recording_backward(root):
+        grads = backward(root)
+        keys.update(grads)
+        return grads
+
+    monkeypatch.setattr(pipeline, "running_cost", recording_cost)
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    train, dev = fewshot_split(world.pool, k=4, seed=5)
+    train_pet(world.state, PetConfig(kind="lora"), mapnet, world.endpoints, train, dev,
+              _short_cfg(method=method, alpha=0.1, max_steps=3))
+    assert used and keys
+    for net in used:  # a frozen view on the caller's arrays
+        for view, orig in zip(net.trainables(), mapnet.trainables()):
+            assert view.data is orig.data
+            assert view.node_id not in keys and orig.node_id not in keys
+    assert all(t.requires_grad for t in mapnet.trainables())
+    for t, data in zip(mapnet.trainables(), before):
+        assert np.array_equal(t.data, data)
+
+
 def test_train_pet_same_seed_same_history(world):
     train, dev = fewshot_split(world.pool, k=4, seed=2)
     cfg = _short_cfg()
