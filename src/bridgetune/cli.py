@@ -24,10 +24,10 @@ from .backbone import (ModelConfig, PretrainConfig, check_input, freeze,
                        save_backbone)
 from .latent_map import (EndpointTable, FitMapConfig, build_endpoints,
                          fit_map, load_mapnet, save_mapnet)
-from .pets import PetConfig, load_pet
-from .pipeline import (TrainConfig, evaluate, fewshot_split, run_training,
-                       write_csv)
-from .snapshot import SnapshotFormatError, load_snapshot
+from .pets import PetConfig, build_pet, load_pet
+from .pipeline import (TrainConfig, evaluate, fewshot_split, load_probe,
+                       run_training, write_csv)
+from .snapshot import SnapshotFormatError
 from .tasks import (DataError, load_jsonl, make_pretrain_corpus,
                     make_task_dataset, write_jsonl)
 
@@ -295,6 +295,10 @@ def _cmd_train_pet(args):
     cfg = _dataclass_from(TrainConfig, section, overrides)
     pet_cfg = _dataclass_from(PetConfig, cfg_file.get("pet", {}),
                               {"kind": args.pet})
+    try:
+        build_pet(pet_cfg, state, np.random.default_rng(0))
+    except ValueError as e:  # a PET config this backbone cannot take
+        raise DataError(f"bad PetConfig value: {e}") from e
     if header is not None and header.get("method") != cfg.method:
         raise DataError(f"{args.map} was fitted for method {header.get('method')!r}, "
                         f"not {cfg.method!r}")
@@ -363,24 +367,29 @@ def _cmd_analyze(args):
     rows = []
     for run in args.runs:
         cfg_path = os.path.join(run, "config.json")
-        probe_path = os.path.join(run, "probe.bin")
         try:
             with open(cfg_path, "r", encoding="utf-8") as f:
                 cfg = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise DataError(f"cannot read {cfg_path}: {e}") from e
-        alpha = cfg["train"]["alpha"]
-        probe_header, tensors = load_snapshot(probe_path)
-        labels = probe_header["labels"]
+        train = cfg.get("train") if isinstance(cfg, dict) else None
+        alpha = train.get("alpha") if isinstance(train, dict) else None
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+            raise DataError(f"{cfg_path}: train.alpha missing or not a number")
+        probe_path = os.path.join(run, "probe.bin")
+        labels, samples = load_probe(probe_path)
         by_label = {}
         dists = []
-        for i, label in enumerate(labels):
-            h_out = tensors[f"s{i}.h_out"]
+        for label, (h_out, h_ctx) in zip(labels, samples):
             by_label.setdefault(label, []).append(h_out[-1])
             if mapnet is not None:
-                trace = trace_from_arrays(h_out, tensors[f"s{i}.h_ctx"])
+                try:
+                    beta = endpoints.row(label)
+                except ValueError as e:
+                    raise DataError(f"{probe_path}: {e}") from e
+                trace = trace_from_arrays(h_out, h_ctx)
                 spec = bridges.BridgeSpec(
-                    kind=bridge["bridge_kind"], beta=endpoints.row(label),
+                    kind=bridge["bridge_kind"], beta=beta,
                     horizon=1.0, q=bridge["q"], sigma=bridge["sigma"])
                 total, per_layer = bridge_distance(trace, mapnet, spec)
                 dists.append((total, per_layer))

@@ -35,6 +35,10 @@ class EndpointTable:
     r: int
 
     def row(self, token: int) -> np.ndarray:
+        """token's row; ValueError for a token outside 0 .. |V|-1."""
+        if not 0 <= token < len(self.beta):
+            raise ValueError(f"token {token} outside the endpoint table of "
+                             f"{len(self.beta)} tokens")
         return self.beta[token]
 
 
@@ -262,12 +266,14 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
 
     A sample's trace is collected when a batch first draws it, so a short fit
     runs no forward for samples it never draws; every sample is checked
-    (backbone.check_input) before the first step all the same. Holdout
-    traces are collected up front, as the first holdout score reads them all.
+    (backbone.check_input, and its target against the endpoint table) before
+    the first step all the same. Holdout traces are collected up front, as
+    the first holdout score reads them all.
     """
     samples = list(samples)
-    for tokens, _, pos in samples:
+    for tokens, target, pos in samples:
         check_input(state.config, tokens, pos)
+        endpoints.row(target)
     rng = np.random.default_rng(cfg.seed)
     input_dim = 2 * state.config.hidden_dim + (1 if cfg.method == "sde" else 0)
     mapnet = new_mapnet(input_dim, cfg.hidden_dims, cfg.latent_dim, rng,

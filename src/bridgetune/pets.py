@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbone import BackboneState, ModelConfig, bias_names
+from .backbone import BackboneState, ModelConfig, bias_names, check_counts
 from .snapshot import (SnapshotFormatError, check_records, header_config, load_kind,
                        save_snapshot)
 
@@ -35,8 +35,7 @@ class PetConfig:
     def __post_init__(self):
         if self.kind not in PET_KINDS:
             raise ValueError(f"unknown PET kind {self.kind!r}")
-        if self.prompt_len < 1 or self.r_lora < 1 or self.r_adapter < 1:
-            raise ValueError("prompt_len, r_lora and r_adapter must be >= 1")
+        check_counts(self, prompt_len=1, r_lora=1, r_adapter=1)
 
 
 def attach_prompt(P: Tensor, input_states: Tensor, max_seq_len: int) -> Tensor:
@@ -47,11 +46,6 @@ def attach_prompt(P: Tensor, input_states: Tensor, max_seq_len: int) -> Tensor:
     if n + m > max_seq_len:
         raise PromptLengthError(f"{n} positions + {m} prompt > {max_seq_len}")
     return ad.concat([input_states, ad.transpose(P)], axis=1)
-
-
-def lora_forward(W: Tensor, A: Tensor, B: Tensor, x: Tensor) -> Tensor:
-    """h = Wx + B(Ax): exact sum of the frozen path and the low-rank path."""
-    return ad.add(ad.matmul(W, x), ad.matmul(B, ad.matmul(A, x)))
 
 
 def adapter_forward(h: Tensor, W_d: Tensor, W_u: Tensor) -> Tensor:

@@ -21,7 +21,8 @@ from .autodiff import Tensor
 from .backbone import BackboneState, check_counts, check_finite, forward, mask_logits
 from .latent_map import bridge_spec, running_cost
 from .pets import PetConfig, build_pet, save_pet
-from .snapshot import save_snapshot
+from .snapshot import (SnapshotFormatError, check_records, header_value, load_kind,
+                       save_snapshot)
 from .tasks import DataError
 
 @dataclass(frozen=True)
@@ -204,6 +205,24 @@ def dump_probe_traces(path, state: BackboneState, pet, dataset, meta: dict) -> N
     header = {"kind": "probe", "labels": labels}
     header.update(meta)
     save_snapshot(path, header, tensors)
+
+
+def load_probe(path):
+    """The probe set of dump_probe_traces: (labels, per sample its h_out and
+    h_ctx matrices). Raises SnapshotFormatError unless path is a probe
+    snapshot with a list of integer labels and, per label, exactly the
+    records s<i>.h_out and s<i>.h_ctx, all matrices of one shape with at
+    least one row."""
+    header, tensors = load_kind(path, "probe")
+    labels = header_value(path, header, "labels", lambda v: isinstance(v, list) and all(
+        type(label) is int for label in v))
+    names = [(f"s{i}.h_out", f"s{i}.h_ctx") for i in range(len(labels))]
+    check_records(path, tensors, {name: (None, None) for pair in names for name in pair})
+    shapes = {array.shape for array in tensors.values()}
+    if len(shapes) > 1 or any(rows == 0 for rows, _ in shapes):
+        raise SnapshotFormatError(f"{path}: probe records of shapes {sorted(shapes)}, "
+                                  f"not one shape with at least one row")
+    return labels, [(tensors[out], tensors[ctx]) for out, ctx in names]
 
 
 def run_training(out_dir, state: BackboneState, pet_cfg: PetConfig, mapnet,

@@ -96,9 +96,10 @@ def write_jsonl(path, samples) -> None:
 
 
 def load_jsonl(path):
-    """One JSON object per line: tokens (ints), label_word (int), and
-    optional mask_position. Without a mask position, a mask token is
-    appended and its index used."""
+    """One JSON object per line: tokens (a list of ints), label_word (an
+    int), and optional mask_position (an int). Without a mask position, a
+    mask token is appended and its index used. A value of another JSON type
+    (a float, string or bool) is refused, not coerced."""
     samples = []
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -111,17 +112,19 @@ def load_jsonl(path):
             continue
         try:
             obj = json.loads(line)
-            tokens = [int(t) for t in obj["tokens"]]
-            label_word = int(obj["label_word"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+            tokens, label_word = obj["tokens"], obj["label_word"]
+            mask_position = obj.get("mask_position", len(tokens))
+        except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise DataError(f"{path}:{ln}: bad record ({e})") from e
+        if not (isinstance(tokens, list) and all(  # an int, but not a bool
+                type(v) is int for v in (*tokens, label_word, mask_position))):
+            raise DataError(f"{path}:{ln}: tokens, label_word and mask_position "
+                            f"must be JSON integers")
         if "mask_position" in obj:
-            mask_position = int(obj["mask_position"])
             if not 0 <= mask_position < len(tokens):
                 raise DataError(f"{path}:{ln}: mask position out of range")
         else:
             tokens = tokens + [MASK_ID]
-            mask_position = len(tokens) - 1
         samples.append(TaskSample(tokens=tuple(tokens), label_word=label_word,
                                   mask_position=mask_position))
     return samples

@@ -6,55 +6,18 @@ shapes or algebra build their own tiny states instead.
 """
 
 import json
-from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
-from bridgetune.backbone import (BackboneState, ModelConfig, PretrainConfig,
-                                 freeze, mlm_samples, pretrain_mlm,
-                                 save_backbone)
-from bridgetune.latent_map import (EndpointTable, FitMapConfig, MapNet,
-                                   build_endpoints, fit_map, save_mapnet)
-from bridgetune.tasks import (make_pretrain_corpus, make_task_dataset,
-                              write_jsonl)
-
-PRETRAIN_STEPS = 2500
-PDF_MAP_STEPS = 400
-SDE_MAP_STEPS = 200
-
-
-@dataclass
-class World:
-    config: ModelConfig
-    state: BackboneState
-    corpus: list
-    fit_samples: list
-    endpoints: EndpointTable
-    pdf_map: MapNet
-    sde_map: MapNet
-    pool: list  # downstream task samples, both classes
+from bridgetune.backbone import save_backbone
+from bridgetune.latent_map import save_mapnet
+from bridgetune.study import build_world
+from bridgetune.tasks import write_jsonl
 
 
 @pytest.fixture(scope="session")
 def world():
-    config = ModelConfig()
-    rng = np.random.default_rng(0)
-    corpus = make_pretrain_corpus(200, 12, rng)
-    state = freeze(pretrain_mlm(config, corpus,
-                                PretrainConfig(max_steps=PRETRAIN_STEPS, seed=0)))
-    endpoints = build_endpoints(state["embed"].data, r=8, eta=1.0)
-    fit_samples = mlm_samples(corpus, np.random.default_rng(1))
-    pdf_map, _ = fit_map(state, fit_samples,
-                         FitMapConfig(method="pdf", max_steps=PDF_MAP_STEPS,
-                                      seed=0), endpoints)
-    sde_map, _ = fit_map(state, fit_samples,
-                         FitMapConfig(method="sde", max_steps=SDE_MAP_STEPS,
-                                      batch_size=8, seed=0), endpoints)
-    pool = make_task_dataset(150, 12, 0.35, np.random.default_rng(100))
-    return World(config=config, state=state, corpus=corpus,
-                 fit_samples=fit_samples, endpoints=endpoints,
-                 pdf_map=pdf_map, sde_map=sde_map, pool=pool)
+    return build_world()
 
 
 @pytest.fixture(scope="session")

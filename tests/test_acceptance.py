@@ -22,15 +22,14 @@ import pytest
 from scipy import integrate
 
 import bridgetune.autodiff as ad
-from bridgetune import analysis, bridges
+from bridgetune import analysis, bridges, study
 from bridgetune.autodiff import Tensor
 from bridgetune.backbone import HiddenTrace, checksum, forward
 from bridgetune.cli import cli
 from bridgetune.latent_map import (build_endpoints, goodness_pdf,
                                    goodness_sde, new_mapnet)
 from bridgetune.pets import PetConfig, build_pet
-from bridgetune.pipeline import (TrainConfig, fewshot_split, run_training,
-                                 train_pet)
+from bridgetune.pipeline import TrainConfig, fewshot_split, train_pet
 from bridgetune.spline import fit_natural
 
 
@@ -360,65 +359,19 @@ def test_criterion_07_endpoint_geometry(world):
 
 # --------------------------------------------- 8: desk-scale directional study
 
-PETS = ("prompt", "lora", "bitfit", "adapter")
-DESK_PDF_GRID = (0.1, 0.3, 1.0)
-DESK_SDE_GRID = (0.001, 0.01, 0.1)
-DESK_K = 16
-DESK_SEEDS = range(5)
-
-
 @pytest.fixture(scope="module")
 def desk_study(world, tmp_path_factory):
-    """Full grid: 4 PETs x 5 seeds x (vanilla + 3 pdf alphas + 3 sde alphas).
-
-    The prompt-PET seed-0 cells go through run_training into run directories
-    so the analyze subcommand has real artifacts to correlate (item 9c);
-    every other cell trains in memory.
-    """
-    out_root = tmp_path_factory.mktemp("desk")
-    results = {}
-    analyze_runs = []
+    """Full grid: 4 PETs x 5 seeds x (vanilla + 3 pdf alphas + 3 sde alphas),
+    every cell in its own run directory."""
     start = time.perf_counter()
-    for s in DESK_SEEDS:
-        train, dev = fewshot_split(world.pool, DESK_K, 1000 + s)
-        for pet in PETS:
-            cells = [("none", 0.0, None)]
-            cells += [("pdf", a, world.pdf_map) for a in DESK_PDF_GRID]
-            cells += [("sde", a, world.sde_map) for a in DESK_SDE_GRID]
-            for method, alpha, mapnet in cells:
-                cfg = TrainConfig(alpha=alpha, method=method, max_steps=200,
-                                  eval_every=50, batch_size=2, seed=s)
-                if pet == "prompt" and s == 0 and method in ("none", "pdf"):
-                    run_dir = out_root / f"prompt-{method}-{alpha}"
-                    _, _, summary = run_training(
-                        run_dir, world.state, PetConfig(kind=pet), mapnet,
-                        world.endpoints, train, dev, cfg)
-                    analyze_runs.append(str(run_dir))
-                else:
-                    _, _, summary = train_pet(
-                        world.state, PetConfig(kind=pet), mapnet,
-                        world.endpoints, train, dev, cfg)
-                results.setdefault((pet, method, alpha), []).append(
-                    summary["best_dev_metric"])
-    elapsed = time.perf_counter() - start
-    return {"results": results, "elapsed": elapsed,
-            "analyze_runs": analyze_runs}
+    rows = study.run_grid(world, tmp_path_factory.mktemp("desk"), seeds=range(5))
+    return {"rows": rows, "elapsed": time.perf_counter() - start}
 
 
 def test_criterion_08_desk_scale_directional(desk_study):
-    res = desk_study["results"]
-    parts = []
-    both = 0
-    for pet in PETS:
-        van = float(np.mean(res[(pet, "none", 0.0)]))
-        best_pdf = max(float(np.mean(res[(pet, "pdf", a)]))
-                       for a in DESK_PDF_GRID)
-        best_sde = max(float(np.mean(res[(pet, "sde", a)]))
-                       for a in DESK_SDE_GRID)
-        if best_pdf >= van and best_sde >= van:
-            both += 1
-        parts.append(f"{pet} vanilla {van:.4f} pdf {best_pdf:.4f} "
-                     f"sde {best_sde:.4f}")
+    per_pet, both = study.verdict(desk_study["rows"])
+    parts = [f"{pet} vanilla {m['vanilla']:.4f} pdf {m['best_pdf']:.4f} "
+             f"sde {m['best_sde']:.4f}" for pet, m in per_pet.items()]
     elapsed = desk_study["elapsed"]
     ok = both >= 3 and elapsed < 1800.0
     _check("8 desk-scale gains", ok,
@@ -512,8 +465,9 @@ def test_criterion_09b_worked_tau_tie_example():
 def test_criterion_09c_analyze_reproduces_correlation(desk_study, tmp_path,
                                                       capsys):
     out = tmp_path / "analysis"
-    rc = cli(["analyze", "--runs", *desk_study["analyze_runs"],
-              "--out", str(out)])
+    runs = [row["run"] for row in desk_study["rows"] if row["pet"] == "prompt"
+            and row["seed"] == 0 and row["method"] in ("none", "pdf")]
+    rc = cli(["analyze", "--runs", *runs, "--out", str(out)])
     assert rc == 0
     shown = re.search(r"pearson\(alpha, centroid_distance\): r=(-?\d+\.\d+)",
                       capsys.readouterr().out)
@@ -526,7 +480,7 @@ def test_criterion_09c_analyze_reproduces_correlation(desk_study, tmp_path,
     dists = [float(row["centroid_distance"]) for row in rows]
     r, _ = analysis.pearson(alphas, dists)
 
-    ok = len(rows) == len(desk_study["analyze_runs"]) and \
+    ok = len(rows) == len(runs) and \
         shown == pytest.approx(r, abs=5e-7)
     sign = "positive" if r > 0 else "non-positive"
     _check("9c analyze correlation", ok,

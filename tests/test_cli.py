@@ -6,6 +6,7 @@ the session-scoped world fixture are shared.
 
 import json
 import math
+import shutil
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from bridgetune.cli import cli
 from bridgetune.latent_map import load_mapnet, save_mapnet
 from bridgetune.pets import PetConfig, build_pet, save_pet
+from bridgetune.snapshot import save_snapshot
 from bridgetune.tasks import load_jsonl
 
 # ------------------------------------------------------------------ exit codes
@@ -154,10 +156,17 @@ def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
      "alpha must be a finite number at least 0, got inf"),
     (["train-pet", "--pet", "lora"], {"train": {"sde_steps": 2}},
      "sde_steps must be at least 4, got 2"),
+    (["train-pet", "--pet", "prompt"], {"pet": {"prompt_len": 2.5}},
+     "prompt_len must be an integer, got 2.5"),
+    (["train-pet", "--pet", "prompt"], {"pet": {"prompt_len": True}},
+     "prompt_len must be an integer, got True"),
+    (["train-pet", "--pet", "lora"], {"pet": {"r_lora": 40}},
+     "bad PetConfig value: r_lora must be < hidden_dim"),
 ], ids=["pretrain-batch-size", "model-num-heads", "pretrain-seq-len-over-model",
         "fitmap-max-steps", "fitmap-batch-size", "task-per-class", "task-per-class-string",
         "task-mix", "pretrain-learning-rate", "fitmap-learning-rate", "fitmap-sde-steps",
-        "train-learning-rate", "train-alpha", "train-sde-steps"])
+        "train-learning-rate", "train-alpha", "train-sde-steps", "pet-prompt-len-float",
+        "pet-prompt-len-bool", "pet-r-lora-over-hidden-dim"])
 def test_config_value_out_of_range_exits_2_writing_nothing(world_dir, tmp_path, capsys,
                                                            argv, section, message):
     cfg = tmp_path / "cfg.json"
@@ -237,6 +246,16 @@ def test_fewshot_writes_seed_directories(world_dir, tmp_path):
     a = (tmp_path / "seed5" / "train.jsonl").read_bytes()
     b = (tmp_path / "seed6" / "train.jsonl").read_bytes()
     assert a != b
+
+
+def test_fewshot_non_integer_token_exits_2_writing_nothing(tmp_path, capsys):
+    data = tmp_path / "task.jsonl"
+    data.write_text(json.dumps({"tokens": [3.7, "5", True], "label_word": 2.9}) + "\n")
+    out = tmp_path / "shots"
+    assert cli(["fewshot", "--data", str(data), "--k", "1", "--out", str(out)]) == 2
+    assert (f"{data}:1: tokens, label_word and mask_position must be JSON integers"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_fewshot_insufficient_pool_exits_2(tmp_path, capsys):
@@ -535,6 +554,32 @@ def test_analyze_single_run_not_computable(cli_run, tmp_path, capsys):
     lines = (tmp_path / "analyze.csv").read_text().splitlines()
     assert lines[0] == "run,alpha,centroid_distance"
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("broken, message", [
+    ("probe-is-a-backbone", "probe.bin: not a 'probe' snapshot (header kind 'backbone')"),
+    ("config-without-alpha", "config.json: train.alpha missing or not a number"),
+    ("probe-without-rows", "probe.bin: probe records of shapes [(0, 32)], "
+                           "not one shape with at least one row"),
+    ("label-outside-the-map", "probe.bin: token 99 outside the endpoint table of 64 tokens"),
+])
+def test_analyze_malformed_run_exits_2_writing_nothing(world_dir, cli_run, tmp_path, capsys,
+                                                       broken, message):
+    run = tmp_path / "run"
+    shutil.copytree(cli_run["out"], run)
+    if broken == "probe-is-a-backbone":
+        shutil.copy(world_dir / "backbone.bin", run / "probe.bin")
+    elif broken == "config-without-alpha":
+        (run / "config.json").write_text("{}")
+    else:
+        label, rows = (1, 0) if broken == "probe-without-rows" else (99, 5)
+        save_snapshot(run / "probe.bin", {"kind": "probe", "labels": [label]},
+                      {"s0.h_out": np.zeros((rows, 32)), "s0.h_ctx": np.zeros((rows, 32))})
+    out = tmp_path / "analysis"
+    assert cli(["analyze", "--runs", str(run), "--map", str(world_dir / "map-pdf.bin"),
+                "--out", str(out)]) == 2
+    assert f"error: {run / message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_with_map_reports_bridge_distance(world_dir, cli_run,

@@ -500,12 +500,12 @@ def test_fit_map_runs_one_forward_per_drawn_sample_and_holdout_sample(world, mon
 
 
 @pytest.mark.parametrize("bad", [
-    ([5] * 11 + [99], 3), ([5] * 39, 3), ([], 0), ([5, "a", 5], 1), ([5, True, 5], 1),
-    ([5, 5, 5], 3)],
-    ids=["token-99", "39-tokens", "empty", "string-token", "bool-token", "mask-position"])
+    ([5] * 11 + [99], 5, 3), ([5] * 39, 5, 3), ([], 5, 0), ([5, "a", 5], 5, 1),
+    ([5, True, 5], 5, 1), ([5, 5, 5], 5, 3), ([5, 5, 5], -1, 1), ([5, 5, 5], 64, 1)],
+    ids=["token-99", "39-tokens", "empty", "string-token", "bool-token", "mask-position",
+         "target-minus-1", "target-64"])
 def test_fit_map_rejects_a_bad_sample_that_no_batch_draws(world, bad):
-    tokens, pos = bad
-    samples = list(world.fit_samples[:20]) + [(tokens, 5, pos)]
+    samples = list(world.fit_samples[:20]) + [bad]
     cfg = FitMapConfig(method="pdf", max_steps=0)
     with pytest.raises(ValueError):
         fit_map(world.state, samples, cfg, world.endpoints)

@@ -9,8 +9,7 @@ from bridgetune.backbone import (MASK_ID, ModelConfig, checksum, forward,
 from bridgetune.pets import (PET_KINDS, AdapterParams, BitfitParams,
                              LoraParams, PetConfig, PromptLengthError,
                              PromptParams, adapter_forward, attach_prompt,
-                             build_pet, load_pet,
-                             lora_forward, save_pet)
+                             build_pet, load_pet, save_pet)
 
 
 @pytest.fixture
@@ -64,22 +63,29 @@ def test_config_validation():
 
 # ------------------------------------------------------------- op oracles
 
+def _lora_forward(W, A, B, x):
+    """The frozen projection plus LoraParams.qv_delta, as backbone.forward
+    adds them, with A and B loaded into a one-layer LoRA."""
+    d, r = B.shape
+    model = ModelConfig(num_layers=1, hidden_dim=d, num_heads=1)
+    pet = LoraParams(PetConfig(kind="lora", r_lora=r), model, np.random.default_rng(0))
+    pet.load_tensors({"layer0.q.A": A, "layer0.q.B": B})
+    x = ad.Tensor(x)
+    return ad.add(ad.matmul(ad.Tensor(W), x), pet.qv_delta(0, "q", x)).data
+
+
 def test_lora_forward_hand_example():
-    W = ad.Tensor(np.eye(2))
-    A = ad.Tensor(np.array([[1.0, 0.0]]))
-    B = ad.Tensor(np.array([[0.0], [1.0]]))
-    x = ad.Tensor(np.array([[1.0], [0.0]]))
-    out = lora_forward(W, A, B, x)
-    assert np.array_equal(out.data, np.array([[1.0], [1.0]]))
+    out = _lora_forward(np.eye(2), np.array([[1.0, 0.0]]), np.array([[0.0], [1.0]]),
+                        np.array([[1.0], [0.0]]))
+    assert np.array_equal(out, np.array([[1.0], [1.0]]))
 
 
 def test_lora_forward_zero_b_is_frozen_path():
     rng = np.random.default_rng(2)
-    W = ad.Tensor(rng.standard_normal((4, 3)))
-    A = ad.Tensor(rng.standard_normal((2, 3)))
-    B = ad.Tensor(np.zeros((4, 2)))
-    x = ad.Tensor(rng.standard_normal((3, 1)))
-    assert np.array_equal(lora_forward(W, A, B, x).data, (W.data @ x.data))
+    W = rng.standard_normal((4, 4))
+    A = rng.standard_normal((2, 4))
+    x = rng.standard_normal((4, 1))
+    assert np.array_equal(_lora_forward(W, A, np.zeros((4, 2)), x), W @ x)
 
 
 def test_lora_delta_rank_bound():

@@ -4,6 +4,7 @@ best-on-dev training, and run-directory artifacts."""
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from bridgetune.pipeline import (TrainConfig, evaluate, fewshot_split,
                                  run_training, total_loss, train_pet,
                                  write_csv)
 from bridgetune.snapshot import load_snapshot
-from bridgetune.tasks import DataError, TaskSample, make_task_dataset
+from bridgetune.tasks import DataError, TaskSample, load_jsonl, make_task_dataset
 
 
 def _forward_sample(world, sample):
@@ -143,6 +144,21 @@ def test_fewshot_insufficient_class_named():
     pool = _pool(n_per_class=5)
     with pytest.raises(DataError, match=r"class 1 has 5 examples, needs 12"):
         fewshot_split(pool, k=6, seed=0)
+
+
+@pytest.mark.parametrize("record", [
+    {"tokens": [3.7, "5", True], "label_word": 2.9},
+    {"tokens": [3, 5], "label_word": True},
+    {"tokens": [3, 5], "label_word": 2, "mask_position": 1.0},
+    {"tokens": "35", "label_word": 2},
+], ids=["float-string-bool-tokens", "bool-label", "float-mask-position", "string-tokens"])
+def test_load_jsonl_refuses_values_that_are_not_json_integers(tmp_path, record):
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps({"tokens": [3, 5], "label_word": 2}) + "\n"
+                    + json.dumps(record) + "\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}:2: tokens, label_word and mask_position must be JSON integers")):
+        load_jsonl(path)
 
 
 def test_fewshot_deterministic_and_seed_sensitive():
@@ -412,6 +428,11 @@ def test_run_training_artifacts(world, tmp_path):
     d = world.config.hidden_dim
     assert tensors["s0.h_out"].shape == (L + 1, d)
     assert tensors["s0.h_ctx"].shape == (L + 1, d)
+    labels, samples = pipeline.load_probe(out / "probe.bin")
+    assert labels == header["labels"] and len(samples) == 6
+    for i, (h_out, h_ctx) in enumerate(samples):
+        assert np.array_equal(h_out, tensors[f"s{i}.h_out"])
+        assert np.array_equal(h_ctx, tensors[f"s{i}.h_ctx"])
 
     csv_lines = (out / "metrics.csv").read_text().splitlines()
     assert len(csv_lines) == 1 + len(history)
