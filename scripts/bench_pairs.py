@@ -13,9 +13,10 @@ checkout, one after the other, for the run_seconds that BENCHMARK.json sets;
 the parent runs first in odd pairs and the change first in even ones, so
 that the host's drift falls on both sides. After each run its report is
 read back from that checkout's perfbench/out/, and its verdict (correct or
-not) from the last line run.py prints. BENCH_<tag>.json then holds the machine, its core count and
-BLAS thread setting, every run's correctness and metrics, and per metric of
-the workload: each side's median and quartiles, the per-pair ratios
+not) from the last line run.py prints. BENCH_<tag>.json then holds the
+machine, its core count and BLAS thread setting, every run's correctness,
+round count and metrics, and per metric of the workload: each side's
+median and quartiles, the per-pair ratios
 (change over parent), the change's wins (ties count for neither) and
 whether the change wins at least nine pairs in ten by more than the
 parent's quartile spread. An existing file keeps the entries of other
@@ -132,6 +133,9 @@ def main(argv=None):
         "first": first,
         "correct": {side: [r["correct"] for r in runs[side]] for side in SIDES},
         "failed": {side: [r["failed"] for r in runs[side]] for side in SIDES},
+        # run.py keeps every round's outputs until its checks, so peak_rss_mb
+        # grows with the round count: a faster round also fits more rounds
+        "rounds": {side: [len(r["rounds"]) for r in runs[side]] for side in SIDES},
         "metrics": compare(spec, runs),
     }
     path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n", encoding="utf-8")

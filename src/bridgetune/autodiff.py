@@ -330,9 +330,15 @@ def layer_norm(a: Tensor, axis: int = 0, eps: float = 1e-5,
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def gelu(a: Tensor) -> Tensor:
+def gelu(a: Tensor, *, product_cube: bool = False) -> Tensor:
+    """The tanh approximation of GELU. Its cube is x ** 3, or x * x * x
+    with product_cube: numpy's power takes a slow path on negative bases,
+    and the product differs in the last bits. Only packed inference, which
+    is read through an argmax, takes the product; this keyword goes once the
+    training paths take it too (ROADMAP item 5a). Both forms share one
+    gradient rule."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x if product_cube else x ** 3))
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 

@@ -233,20 +233,24 @@ def _attention(state: BackboneState, i: int, x: Tensor, pet, xq: Tensor, mask) -
     return ad.matmul(state[n["wo"]], merged, bias=bo)
 
 
-def _ffn(state: BackboneState, i: int, x: Tensor, pet) -> Tensor:
+def _ffn(state: BackboneState, i: int, x: Tensor, pet, product_cube=False) -> Tensor:
     n = _layer_names(i)
     b1, b2 = state[n["b1"]], state[n["b2"]]
     if pet is not None:
         b1 = pet.bias(n["b1"], b1)
         b2 = pet.bias(n["b2"], b2)
-    hidden = ad.gelu(ad.matmul(state[n["w1"]], x, bias=b1))
+    hidden = ad.matmul(state[n["w1"]], x, bias=b1)
+    # every path but packed inference calls gelu with its one argument
+    hidden = ad.gelu(hidden, product_cube=True) if product_cube else ad.gelu(hidden)
     return ad.matmul(state[n["w2"]], hidden, bias=b2)
 
 
 def _layer(state: BackboneState, i: int, h: Tensor, pet, mask=None, cols=None) -> Tensor:
     """One pre-LN residual layer over the d x N states h. With cols, the
     queries, attention output, FFN and residual run only at those columns
-    (mask then has one row per column in cols) and the result is d x len(cols)."""
+    (mask then has one row per column in cols) and the result is d x len(cols).
+    A mask marks packed inference, whose FFN takes GELU's product cube
+    (autodiff.gelu)."""
     names = _layer_names(i)
     g1, b1 = state[names["ln1_gain"]], state[names["ln1_bias"]]
     g2, b2 = state[names["ln2_gain"]], state[names["ln2_bias"]]
@@ -261,7 +265,7 @@ def _layer(state: BackboneState, i: int, h: Tensor, pet, mask=None, cols=None) -
     if pet is not None:
         attn = pet.adapt(i, "attn", attn)
     h = ad.add(h, attn)
-    ff = _ffn(state, i, ad.layer_norm(h, gain=g2, bias=b2), pet)
+    ff = _ffn(state, i, ad.layer_norm(h, gain=g2, bias=b2), pet, mask is not None)
     if pet is not None:
         ff = pet.adapt(i, "ffn", ff)
     return ad.add(h, ff)
@@ -302,11 +306,12 @@ def forward(state: BackboneState, tokens, mask_position, pet=None):
     return logits, HiddenTrace(h_out=h_out, h_ctx=h_ctx)
 
 
-# Columns per packed inference pass. On a 2-core Xeon, packs of 64 to 192
-# columns evaluated the benchmark's pool equally fast within run-to-run noise
-# and 32 or 48 were slower; the smallest fast size keeps the N x N attention
-# masks and the ffn_dim x N temporaries small.
-PACK_COLUMNS = 64
+# Columns per packed inference pass. On a 2-core Xeon, with GELU's cube taken
+# as x * x * x, packs of 96 and 128 columns evaluated the benchmark's pool
+# 1.14-1.35x faster than 64 (each won 9 or 10 of 10 interleaved pairs over
+# three pools) and 48 was slower; the smaller of the two fast sizes keeps the
+# N x N attention masks and the ffn_dim x N temporaries small.
+PACK_COLUMNS = 96
 
 
 def _pack_logits(state: BackboneState, pack, pet) -> np.ndarray:

@@ -140,8 +140,8 @@ def _build_parser():
     p.add_argument("--backbone", required=True)
     p.add_argument("--corpus", required=True, help="corpus JSON from pretrain")
     p.add_argument("--method", choices=["pdf", "sde"], required=True)
-    p.add_argument("--bridge", choices=[bridges.BROWNIAN, bridges.OU],
-                   default=bridges.BROWNIAN)
+    p.add_argument("--bridge", choices=[bridges.BROWNIAN, bridges.OU], default=None,
+                   help="bridge kind (default: the config's, else brownian)")
     p.add_argument("--steps", type=_int_at_least(1), default=None)
     p.add_argument("--eta", type=_positive_float, default=None)
     p.add_argument("--latent-dim", type=_int_at_least(1), default=None)
@@ -268,9 +268,9 @@ def _cmd_fit_map(args):
 
 
 def _map_bridge(header) -> dict:
-    """The bridge a map was fitted under, as TrainConfig fields."""
-    return {"bridge_kind": header.get("bridge_kind", bridges.BROWNIAN),
-            "q": header.get("q", 1.0), "sigma": header.get("sigma", 1.0)}
+    """The bridge a map was fitted under (load_mapnet checked these header
+    fields), as TrainConfig fields."""
+    return {key: header[key] for key in ("bridge_kind", "q", "sigma")}
 
 
 def _cmd_train_pet(args):
@@ -363,6 +363,8 @@ def _cmd_analyze(args):
     mapnet = endpoints = None
     if args.map is not None:
         mapnet, endpoints, header = load_mapnet(args.map)
+        if mapnet.time_augmented:
+            raise DataError(f"{args.map}: an sde map, but analyze scores traces with a pdf map")
         bridge = _map_bridge(header)
     rows = []
     for run in args.runs:
@@ -378,6 +380,9 @@ def _cmd_analyze(args):
             raise DataError(f"{cfg_path}: train.alpha missing or not a number")
         probe_path = os.path.join(run, "probe.bin")
         labels, samples = load_probe(probe_path)
+        if mapnet is not None and samples and 2 * samples[0][0].shape[1] != mapnet.dims[0]:
+            raise DataError(f"{probe_path}: hidden width {samples[0][0].shape[1]} does not "
+                            f"fit {args.map}, whose input width is {mapnet.dims[0]}")
         by_label = {}
         dists = []
         for label, (h_out, h_ctx) in zip(labels, samples):

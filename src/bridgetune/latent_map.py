@@ -227,6 +227,16 @@ class FitMapConfig:
         check_counts(self, latent_dim=1, batch_size=1, max_steps=0, eval_every=1,
                      sde_steps=4)
         check_finite(self, 0, "learning_rate")
+        check_bridge(self)
+
+
+def check_bridge(cfg) -> None:
+    """Raise ValueError unless cfg's bridge_kind is brownian or ou and its q
+    and sigma are finite numbers above 0: the fields bridge_spec reads."""
+    if cfg.bridge_kind not in (bridges.BROWNIAN, bridges.OU):
+        raise ValueError(f"bridge_kind must be {bridges.BROWNIAN} or {bridges.OU}, "
+                         f"got {cfg.bridge_kind!r}")
+    check_finite(cfg, 0, "q", "sigma")
 
 
 def bridge_spec(cfg, endpoints: EndpointTable, token: int) -> bridges.BridgeSpec:
@@ -325,13 +335,17 @@ def save_mapnet(path, mapnet: MapNet, method: str, endpoints: EndpointTable,
 
 def load_mapnet(path):
     """Returns (MapNet, EndpointTable, header); the map's tensors are
-    frozen (requires_grad False), as load_backbone's are."""
+    frozen (requires_grad False), as load_backbone's are. The header's
+    bridge_kind, q and sigma are checked as check_bridge checks a config's."""
     header, tensors = load_kind(path, "mapnet")
     dims = tuple(header_value(path, header, "dims", lambda v: isinstance(v, list) and (
         len(v) >= 2 and all(type(d) is int and d >= 1 for d in v))))
     time_augmented = header_value(path, header, "time_augmented",
                                   lambda v: isinstance(v, bool))
     eta = header_value(path, header, "eta", lambda v: type(v) in (int, float))
+    header_value(path, header, "bridge_kind", lambda v: v in (bridges.BROWNIAN, bridges.OU))
+    for key in ("q", "sigma"):
+        header_value(path, header, key, lambda v: type(v) in (int, float) and 0 < v < math.inf)
     r = header_value(path, header, "r", lambda v: v == dims[-1] and type(v) is int)
     n_layers = len(dims) - 1
     shapes = {"endpoints.beta": (None, r)}

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from . import bridges
 from .autodiff import Tensor
 from .backbone import BackboneState, check_counts, check_finite, forward, mask_logits
-from .latent_map import bridge_spec, running_cost
+from .latent_map import bridge_spec, check_bridge, running_cost
 from .pets import PetConfig, build_pet, save_pet
 from .snapshot import (SnapshotFormatError, check_records, header_value, load_kind,
                        save_snapshot)
@@ -47,6 +47,7 @@ class TrainConfig:
         check_finite(self, 0, "alpha", strict=False)
         check_finite(self, 0, "learning_rate")
         check_counts(self, batch_size=1, max_steps=1, eval_every=1, sde_steps=4)
+        check_bridge(self)
 
 
 def total_loss(logits: Tensor, label_word: int, trace, mapnet, endpoints,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import fields
 
@@ -27,22 +28,32 @@ class SnapshotFormatError(ValueError):
 
 
 def save_snapshot(path, header: dict, tensors: dict) -> None:
-    """tensors maps name -> ndarray; insertion order is preserved."""
+    """tensors maps name -> ndarray; insertion order is preserved. The file
+    is written beside path under a temporary name, then moved onto path, so
+    a write that fails leaves any old file at path as it was."""
     hdr = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(hdr)))
-        f.write(hdr)
-        f.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                f.write(struct.pack("<I", dim))
-            f.write(arr.astype("<f8").tobytes(order="C"))
+    directory, base = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{base}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", len(hdr)))
+            f.write(hdr)
+            f.write(struct.pack("<I", len(tensors)))
+            for name, arr in tensors.items():
+                arr = np.asarray(arr, dtype=np.float64)
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<H", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<B", arr.ndim))
+                for dim in arr.shape:
+                    f.write(struct.pack("<I", dim))
+                f.write(arr.astype("<f8").tobytes(order="C"))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_snapshot(path):

@@ -153,6 +153,31 @@ def test_gelu_grad(rng):
         _check_op(lambda a: _scalarize(ad.gelu(a)), [(3, 3)], rng, scale=2.0)
 
 
+@pytest.mark.parametrize("product_cube", [False, True], ids=["power", "product"])
+def test_gelu_forms_equal_the_tanh_formula_in_bytes(product_cube):
+    # Both forms against the tanh GELU written out here, on mixed signs
+    # (where power and product differ); they share one gradient rule.
+    rng = np.random.default_rng(30)
+    x = rng.normal(0.0, 2.0, size=(256, 13))
+    g = rng.normal(size=x.shape)
+    c = np.sqrt(2.0 / np.pi)
+    cube = x * x * x if product_cube else x ** 3
+    t = np.tanh(c * (x + 0.044715 * cube))
+    a = ad.Tensor(x, requires_grad=True)
+    out = ad.gelu(a, product_cube=True) if product_cube else ad.gelu(a)
+    assert out.data.tobytes() == (0.5 * x * (1.0 + t)).tobytes()
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * (c * (1.0 + 3 * 0.044715 * x ** 2))
+    (grad,) = out.node.grad_fn(g)
+    assert grad.tobytes() == (g * local).tobytes()
+    other = ad.gelu(a) if product_cube else ad.gelu(a, product_cube=True)
+    assert np.abs(out.data - other.data).max() <= 1e-15 * np.abs(x).max()
+
+
+def test_gelu_power_and_product_cubes_differ_in_last_bits():
+    x = np.random.default_rng(30).normal(0.0, 2.0, size=(256, 13))
+    assert not np.array_equal(x * x * x, x ** 3)
+
+
 def test_relu_grad(rng):
     for _ in range(N_TRIALS):
         # keep probes away from the kink at zero

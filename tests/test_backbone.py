@@ -190,7 +190,7 @@ def test_forward_is_deterministic(tiny):
 
 # Mixed lengths; 24 tokens plus the default 8 prompt columns fill
 # max_seq_len = 32, and the total spans several packs.
-PACK_LENGTHS = (4, 24, 9, 13, 2, 17, 24, 6, 11, 20, 3, 15)
+PACK_LENGTHS = (4, 24, 9, 13, 2, 17, 24, 6, 11, 20, 3, 15, 21, 8, 19, 12, 5, 23)
 
 
 @pytest.fixture(scope="module")

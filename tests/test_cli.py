@@ -162,11 +162,27 @@ def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
      "prompt_len must be an integer, got True"),
     (["train-pet", "--pet", "lora"], {"pet": {"r_lora": 40}},
      "bad PetConfig value: r_lora must be < hidden_dim"),
+    (["fit-map", "--method", "pdf"], {"fitmap": {"bridge_kind": "gauss"}},
+     "bridge_kind must be brownian or ou, got 'gauss'"),
+    (["fit-map", "--method", "pdf"], {"fitmap": {"q": "abc"}},
+     "q must be a finite number above 0, got 'abc'"),
+    (["fit-map", "--method", "sde"], {"fitmap": {"sigma": math.nan}},
+     "sigma must be a finite number above 0, got nan"),
+    (["fit-map", "--method", "pdf", "--bridge", "ou"], {"fitmap": {"q": -1}},
+     "q must be a finite number above 0, got -1"),
+    (["train-pet", "--pet", "lora"], {"train": {"bridge_kind": "gauss"}},
+     "bridge_kind must be brownian or ou, got 'gauss'"),
+    (["train-pet", "--pet", "lora"], {"train": {"q": -1.0}},
+     "q must be a finite number above 0, got -1.0"),
+    (["train-pet", "--pet", "lora"], {"train": {"sigma": "abc"}},
+     "sigma must be a finite number above 0, got 'abc'"),
 ], ids=["pretrain-batch-size", "model-num-heads", "pretrain-seq-len-over-model",
         "fitmap-max-steps", "fitmap-batch-size", "task-per-class", "task-per-class-string",
         "task-mix", "pretrain-learning-rate", "fitmap-learning-rate", "fitmap-sde-steps",
         "train-learning-rate", "train-alpha", "train-sde-steps", "pet-prompt-len-float",
-        "pet-prompt-len-bool", "pet-r-lora-over-hidden-dim"])
+        "pet-prompt-len-bool", "pet-r-lora-over-hidden-dim", "fitmap-bridge-kind",
+        "fitmap-q-string", "fitmap-sigma-nan", "fitmap-ou-q-negative", "train-bridge-kind",
+        "train-q-negative", "train-sigma-string"])
 def test_config_value_out_of_range_exits_2_writing_nothing(world_dir, tmp_path, capsys,
                                                            argv, section, message):
     cfg = tmp_path / "cfg.json"
@@ -526,6 +542,20 @@ def test_fit_map_cli_round_trip(world_dir, tmp_path, capsys):
     assert net.time_augmented is False
 
 
+def test_fit_map_takes_bridge_from_config_unless_flag_given(world_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fitmap": {"bridge_kind": "ou", "q": 1.5, "sigma": 0.9}}))
+    args = ["fit-map", "--backbone", str(world_dir / "backbone.bin"),
+            "--corpus", str(world_dir / "corpus.json"), "--method", "pdf", "--steps", "1",
+            "--config", str(cfg)]
+    assert cli(args + ["--out", str(tmp_path / "config")]) == 0
+    _, _, header = load_mapnet(tmp_path / "config" / "map-pdf.bin")
+    assert (header["bridge_kind"], header["q"], header["sigma"]) == ("ou", 1.5, 0.9)
+    assert cli(args + ["--bridge", "brownian", "--out", str(tmp_path / "flag")]) == 0
+    _, _, header = load_mapnet(tmp_path / "flag" / "map-pdf.bin")
+    assert header["bridge_kind"] == "brownian"
+
+
 @pytest.mark.parametrize("corpus, index, message", [
     ([[5] * 12, [5] * 11 + [99]], 1, "token id 99 outside vocabulary of 64"),
     ([[5] * 12, [5] * 12, [5] * 39], 2, "sequence length 39 outside 1 to 32"),
@@ -562,23 +592,29 @@ def test_analyze_single_run_not_computable(cli_run, tmp_path, capsys):
     ("probe-without-rows", "probe.bin: probe records of shapes [(0, 32)], "
                            "not one shape with at least one row"),
     ("label-outside-the-map", "probe.bin: token 99 outside the endpoint table of 64 tokens"),
+    ("sde-map", "map-sde.bin: an sde map, but analyze scores traces with a pdf map"),
+    ("probe-narrower-than-the-map", "probe.bin: hidden width 16 does not fit {map}, "
+                                    "whose input width is 64"),
 ])
 def test_analyze_malformed_run_exits_2_writing_nothing(world_dir, cli_run, tmp_path, capsys,
                                                        broken, message):
     run = tmp_path / "run"
     shutil.copytree(cli_run["out"], run)
+    mapnet = world_dir / ("map-sde.bin" if broken == "sde-map" else "map-pdf.bin")
     if broken == "probe-is-a-backbone":
         shutil.copy(world_dir / "backbone.bin", run / "probe.bin")
     elif broken == "config-without-alpha":
         (run / "config.json").write_text("{}")
-    else:
-        label, rows = (1, 0) if broken == "probe-without-rows" else (99, 5)
+    elif broken != "sde-map":
+        label, rows, width = {"probe-without-rows": (1, 0, 32),
+                              "label-outside-the-map": (99, 5, 32),
+                              "probe-narrower-than-the-map": (1, 5, 16)}[broken]
         save_snapshot(run / "probe.bin", {"kind": "probe", "labels": [label]},
-                      {"s0.h_out": np.zeros((rows, 32)), "s0.h_ctx": np.zeros((rows, 32))})
+                      {"s0.h_out": np.zeros((rows, width)), "s0.h_ctx": np.zeros((rows, width))})
     out = tmp_path / "analysis"
-    assert cli(["analyze", "--runs", str(run), "--map", str(world_dir / "map-pdf.bin"),
-                "--out", str(out)]) == 2
-    assert f"error: {run / message}" in capsys.readouterr().err
+    assert cli(["analyze", "--runs", str(run), "--map", str(mapnet), "--out", str(out)]) == 2
+    where = world_dir if broken == "sde-map" else run
+    assert f"error: {where / message.format(map=mapnet)}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import bridgetune.autodiff as ad
 import bridgetune.pipeline as pipeline
-from bridgetune import bridges
+from bridgetune import backbone, bridges, latent_map
 from bridgetune.backbone import checksum, forward
 from bridgetune.latent_map import goodness_pdf
 from bridgetune.pets import PetConfig, build_pet, load_pet
@@ -110,6 +110,12 @@ def test_train_config_validation():
             TrainConfig(**{key: low - 1})
         for bad in ("4", 4.0, True):
             with pytest.raises(ValueError, match=f"{key} must be an integer"):
+                TrainConfig(**{key: bad})
+    with pytest.raises(ValueError, match="bridge_kind must be brownian or ou, got 'gauss'"):
+        TrainConfig(bridge_kind="gauss")
+    for key in ("q", "sigma"):
+        for bad in (0, -1.0, math.nan, math.inf, "1", True):
+            with pytest.raises(ValueError, match=f"{key} must be a finite number above 0"):
                 TrainConfig(**{key: bad})
 
 
@@ -254,6 +260,76 @@ def test_evaluate_matches_per_sample_argmax(world, monkeypatch, kind):
            for m in ("accuracy", "f1", "matthews")}
     _stub_predictions(monkeypatch, dict(zip((s.tokens for s in world.pool), per_sample)))
     assert got == {m: evaluate(None, None, world.pool, m) for m in got}
+
+
+def _gelu_cube_paths(world, path, tmp_path):
+    """Run path (a name in GELU_CUBES) on the world at a small size."""
+    train, dev = fewshot_split(world.pool, k=2, seed=3)
+    fit = backbone.mlm_samples(world.corpus[:4], np.random.default_rng(4))
+    if path == "pretrain_mlm":
+        backbone.pretrain_mlm(backbone.ModelConfig(num_layers=2, hidden_dim=8, ffn_dim=12),
+                              world.corpus[:4], backbone.PretrainConfig(max_steps=1,
+                                                                        batch_size=2))
+    elif path.startswith("train_pet"):
+        method = path.split("-")[1]
+        mapnet = {"none": None, "pdf": world.pdf_map, "sde": world.sde_map}[method]
+        train_pet(world.state, PetConfig(kind="lora"), mapnet, world.endpoints, train, dev,
+                  _short_cfg(method=method, alpha=0.0 if method == "none" else 0.1,
+                             max_steps=2, eval_every=1))
+    elif path.startswith("fit_map"):
+        latent_map.fit_map(world.state, fit, latent_map.FitMapConfig(
+            method=path.split("-")[1], max_steps=1, batch_size=2), world.endpoints, fit[:1])
+    elif path == "dump_probe_traces":
+        pipeline.dump_probe_traces(tmp_path / "probe.bin", world.state, None, dev, {})
+    elif path == "mask_logits":
+        backbone.mask_logits(world.state, [(s.tokens, s.mask_position) for s in dev])
+    elif path == "evaluate":
+        evaluate(world.state, build_pet(PetConfig(kind="prompt"), world.state,
+                                        np.random.default_rng(5)), dev)
+    else:
+        backbone.masked_accuracy(world.state, fit)
+
+
+# The GELU cube each path takes, as (cube, whether packed inference made the
+# call): x ** 3 ("power") wherever floats are trained or stored, x * x * x
+# ("product") in packed inference alone, which is read only through an argmax.
+GELU_CUBES = {
+    "pretrain_mlm": {("power", False)},
+    **{f"train_pet-{m}": {("power", False), ("product", True)} for m in ("none", "pdf", "sde")},
+    "fit_map-pdf": {("power", False)},
+    "fit_map-sde": {("power", False)},
+    "dump_probe_traces": {("power", False)},
+    "mask_logits": {("product", True)},
+    "evaluate": {("product", True)},
+    "masked_accuracy": {("product", True)},
+}
+
+
+@pytest.mark.parametrize("path", sorted(GELU_CUBES))
+def test_only_packed_inference_takes_the_product_cube(world, monkeypatch, tmp_path, path):
+    # train_pet's training forwards take x ** 3 and its dev evaluations
+    # x * x * x, so its trained floats do not depend on the product form.
+    calls, packing = [], [False]
+    gelu, pack = ad.gelu, backbone._pack_logits
+
+    def recording_gelu(a, **kw):
+        # a call with any other keywords than these two forms records them
+        cube = {(): "power", (("product_cube", True),): "product"}.get(tuple(kw.items()),
+                                                                      repr(kw))
+        calls.append((cube, packing[0]))
+        return gelu(a, **kw)
+
+    def flagged_pack(*args):
+        packing[0] = True
+        try:
+            return pack(*args)
+        finally:
+            packing[0] = False
+
+    monkeypatch.setattr(ad, "gelu", recording_gelu)
+    monkeypatch.setattr(backbone, "_pack_logits", flagged_pack)
+    _gelu_cube_paths(world, path, tmp_path)
+    assert set(calls) == GELU_CUBES[path]
 
 
 def test_evaluate_on_real_backbone_deterministic(world):

@@ -43,6 +43,30 @@ def test_save_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("calls", [1, 4, 9], ids=["header", "first-record", "last-record"])
+def test_failed_save_leaves_old_file_and_no_temp_file(tmp_path, monkeypatch, calls):
+    path = tmp_path / "x.bin"
+    save_snapshot(path, {"k": 1}, {"w": np.ones(2)})
+    old = path.read_bytes()
+    pack, count = struct.pack, [0]
+
+    def failing_pack(*args):
+        count[0] += 1
+        if count[0] == calls:
+            raise OSError("disk full")
+        return pack(*args)
+
+    monkeypatch.setattr(struct, "pack", failing_pack)  # the struct module save_snapshot uses
+    with pytest.raises(OSError, match="disk full"):
+        save_snapshot(path, {"k": 2}, {"w": np.zeros((3, 2)), "v": np.zeros(4)})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+    monkeypatch.undo()
+    save_snapshot(path, {"k": 2}, {"w": np.zeros(2)})  # a later save replaces it
+    assert load_snapshot(path)[0] == {"k": 2}
+    assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+
+
 def test_empty_snapshot(tmp_path):
     path = tmp_path / "empty.bin"
     save_snapshot(path, {}, {})
@@ -229,6 +253,24 @@ def test_loader_rejects_bad_snapshot_as_format_error(tmp_path, loader, case, mes
         save_snapshot(path, header, tensors)
     with pytest.raises(SnapshotFormatError, match=message):
         load(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("bridge_kind", "gauss"), ("bridge_kind", None), ("q", "abc"), ("q", float("nan")),
+    ("q", -1.0), ("sigma", 0), ("sigma", float("inf")), ("sigma", True),
+], ids=["kind-gauss", "kind-null", "q-string", "q-nan", "q-negative", "sigma-0",
+        "sigma-inf", "sigma-bool"])
+def test_map_loader_rejects_bad_bridge_field(tmp_path, key, value):
+    _tiny_files(tmp_path)
+    header, tensors = load_snapshot(tmp_path / "map.bin")
+    header[key] = value
+    save_snapshot(tmp_path / "bad.bin", header, tensors)
+    with pytest.raises(SnapshotFormatError, match=f"header field '{key}' missing or malformed"):
+        load_mapnet(tmp_path / "bad.bin")
+    del header[key]
+    save_snapshot(tmp_path / "bad.bin", header, tensors)
+    with pytest.raises(SnapshotFormatError, match=f"header field '{key}' missing or malformed"):
+        load_mapnet(tmp_path / "bad.bin")
 
 
 @pytest.fixture(scope="module")
