@@ -1,9 +1,10 @@
 """Minimal dense-tensor reverse-mode automatic differentiation with Adam.
 
-Everything is float64. The graph is define-by-run: each forward op records
-a node with a closure computing the local gradient rule, and the graph is
-rebuilt from scratch on every forward pass. Frozen parameters are plain
-Tensors with requires_grad=False; they never receive a gradient slot.
+Everything is float64. The graph is define-by-run: a tensor is its own
+graph node, and each forward op stores on its output the parent tensors and
+a closure computing the local gradient rule. The graph is rebuilt from
+scratch on every forward pass. Frozen parameters are plain Tensors with
+requires_grad=False; they never receive a gradient slot.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class NonFiniteError(FloatingPointError):
     """A training step's loss or gradient norm is NaN or infinite."""
 
 
-_node_ids = itertools.count()
 _grad_enabled = True
 _FLOAT64 = np.dtype(np.float64)
 
@@ -56,10 +56,13 @@ class Tensor:
     """Dense float64 array participating in the computation graph.
 
     A Tensor is immutable once created, except for in-place parameter
-    updates performed between graph lifetimes (adam_step).
+    updates performed between graph lifetimes (adam_step). An op's output
+    is its own graph node: grad_fn maps its gradient to a tuple aligned with
+    parents (None for a parent that needs none). Both are None for leaves
+    and under no_grad.
     """
 
-    __slots__ = ("data", "requires_grad", "node_id", "node")
+    __slots__ = ("data", "requires_grad", "parents", "grad_fn")
 
     def __init__(self, data, requires_grad=False):
         # np.asarray returns a float64 ndarray unchanged; skipping the call
@@ -68,8 +71,8 @@ class Tensor:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
         self.requires_grad = bool(requires_grad)
-        self.node_id = next(_node_ids)
-        self.node = None
+        self.parents = None
+        self.grad_fn = None
 
     @property
     def shape(self):
@@ -82,27 +85,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-class GraphNode:
-    """One recorded op: its kind, parent tensors, and the local grad rule.
-
-    grad_fn maps the output gradient (ndarray) to a tuple of parent
-    gradients, aligned with parents: None for a parent that needs none.
-    """
-
-    __slots__ = ("op_kind", "parents", "grad_fn")
-
-    def __init__(self, op_kind, parents, grad_fn):
-        self.op_kind = op_kind
-        self.parents = parents
-        self.grad_fn = grad_fn
-
-
-def _make(op_kind, parents, out_data, grad_fn):
+def _make(op_kind, parents, out_data, grad_fn):  # op_kind is for wrappers
     for p in parents:
         if p.requires_grad:
             out = Tensor(out_data, True)
             if _grad_enabled:
-                out.node = GraphNode(op_kind, parents, grad_fn)
+                out.parents = parents
+                out.grad_fn = grad_fn
             return out
     return Tensor(out_data)
 
@@ -413,7 +402,7 @@ def op_kinds():
 def backward(root: Tensor) -> dict:
     """Reverse-topological accumulation from a scalar root.
 
-    Returns a mapping node_id -> gradient Tensor covering every
+    Returns a mapping tensor -> gradient ndarray covering every
     requires_grad ancestor of root.
     """
     if root.data.size != 1:
@@ -430,82 +419,83 @@ def backward(root: Tensor) -> dict:
     stack = [root]
     while stack:
         t = stack.pop()
-        state = done.get(t.node_id)
+        state = done.get(t)
         if state is None:
-            done[t.node_id] = False
+            done[t] = False
             stack.append(t)
-            if t.node is not None:
-                for p in t.node.parents:
+            if t.parents is not None:
+                for p in t.parents:
                     if p.requires_grad:
                         stack.append(p)
         elif not state:
-            done[t.node_id] = True
+            done[t] = True
             topo.append(t)
 
-    grads = {root.node_id: np.ones_like(root.data)}
+    grads = {root: np.ones_like(root.data)}
     for t in reversed(topo):
-        node = t.node
-        g = grads.get(t.node_id)
-        if g is None or node is None:
+        g = grads.get(t)
+        if g is None or t.grad_fn is None:
             continue
-        for p, pg in zip(node.parents, node.grad_fn(g)):
+        for p, pg in zip(t.parents, t.grad_fn(g)):
             if pg is None or not p.requires_grad:
                 continue
-            prev = grads.get(p.node_id)
-            grads[p.node_id] = pg if prev is None else prev + pg
+            prev = grads.get(p)
+            grads[p] = pg if prev is None else prev + pg
 
     if not root.requires_grad:  # every other entry is a requires_grad parent
-        del grads[root.node_id]
-    return {nid: Tensor(g) for nid, g in grads.items()}
+        del grads[root]
+    return grads
 
 
 # ---------------------------------------------------------------- optimizer
 
-class AdamState:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        self.first_moment = {p.node_id: np.zeros_like(p.data) for p in params}
-        self.second_moment = {p.node_id: np.zeros_like(p.data) for p in params}
+
+class AdamState:
+    """Adam with bias correction; moments keyed by parameter tensor."""
+
+    def __init__(self, params, learning_rate):
+        self.first_moment = {p: np.zeros_like(p.data) for p in params}
+        self.second_moment = {p: np.zeros_like(p.data) for p in params}
         self.step_count = 0
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
 
 
 def adam_step(params, grads, state: AdamState):
-    """One in-place Adam update; grads maps node_id -> gradient Tensor."""
-    for p in params:
-        if p.node_id not in grads:
-            raise MissingGradientError(f"no gradient for parameter node {p.node_id}")
+    """One in-place Adam update of params; grads maps tensor -> gradient
+    ndarray, as backward returns it."""
+    for i, p in enumerate(params):
+        if p not in grads:
+            raise MissingGradientError(f"no gradient for parameter {i} of shape {p.data.shape}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
     for p in params:
-        g = grads[p.node_id].data
-        m = state.first_moment[p.node_id]
-        v = state.second_moment[p.node_id]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        g = grads[p]
+        m = state.first_moment[p]
+        v = state.second_moment[p]
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        p.data -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + _EPSILON)
     return params, state
 
 
 def clip_gradients(params, grads, max_norm: float):
-    """Scale gradients of params in place so the global norm is <= max_norm."""
+    """Scale the gradient arrays of params in place so that their global
+    norm is <= max_norm; returns the norm before scaling."""
     total = 0.0
     for p in params:
-        g = grads[p.node_id].data
+        g = grads[p]
         total += float((g * g).sum())
     norm = np.sqrt(total)
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in params:
-            grads[p.node_id].data *= scale
+            grads[p] *= scale
     return norm
 
 

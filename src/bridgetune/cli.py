@@ -87,7 +87,15 @@ def _positive_float(text):
     return value
 
 
-_positive_float.__name__ = "float"
+def _finite_float(text):
+    """argparse type: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {value}")
+    return value
+
+
+_positive_float.__name__ = _finite_float.__name__ = "float"
 
 
 def _load_dataset(path, state, pet_cfg: PetConfig):
@@ -124,7 +132,7 @@ def _build_parser():
                      description="Stochastic-bridge regularizers for PET training")
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config file with section overrides")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_int_at_least(0), default=0)
     common.add_argument("--out", default=".", help="output directory")
 
     sub = parser.add_subparsers(dest="command")
@@ -180,11 +188,11 @@ def _build_parser():
                        help="sample bridge paths to CSV")
     p.add_argument("--bridge", choices=[bridges.BROWNIAN, bridges.OU],
                    default=bridges.BROWNIAN)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=_finite_float, default=1.0)
     p.add_argument("--steps", type=_int_at_least(2), default=100)
     p.add_argument("--paths", type=_int_at_least(1), default=3)
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--q", type=_positive_float, default=1.0)
+    p.add_argument("--sigma", type=_positive_float, default=1.0)
 
     p = sub.add_parser("analyze", parents=[common],
                        help="centroid/bridge-distance analysis over run dirs")
@@ -345,15 +353,14 @@ def _cmd_sample_bridge(args):
                               horizon=1.0, q=args.q, sigma=args.sigma)
     rng = np.random.default_rng(args.seed)
     os.makedirs(args.out, exist_ok=True)
+    rows = []
+    for p in range(args.paths):
+        sample = bridges.sample_path(spec, args.steps, rng)
+        # --steps rows per path: the pinned terminal point is omitted
+        rows += ({"path": p, "t": float(sample.times[k]), "value": float(sample.values[k, 0])}
+                 for k in range(args.steps))
     path = os.path.join(args.out, "bridge_paths.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("path,t,value\n")
-        for p in range(args.paths):
-            sample = bridges.sample_path(spec, args.steps, rng)
-            # --steps rows per path: the pinned terminal point is omitted
-            for k in range(args.steps):
-                f.write(f"{p},{float(sample.times[k])!r},"
-                        f"{float(sample.values[k, 0])!r}\n")
+    write_csv(path, ["path", "t", "value"], rows)
     print(f"wrote {path}")
     return 0
 

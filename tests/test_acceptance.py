@@ -205,8 +205,8 @@ def _fd_worst(fn, leaves, probe_rng, eps=1e-6):
             dn = fn().item()
             flat[idx] = old
             fd = (up - dn) / (2 * eps)
-            g = grads.get(leaf.node_id)
-            an = 0.0 if g is None else g.data.reshape(-1)[idx]
+            g = grads.get(leaf)
+            an = 0.0 if g is None else g.reshape(-1)[idx]
             worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-8))
     return worst
 

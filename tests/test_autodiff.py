@@ -48,7 +48,7 @@ def _check_op(build, shapes, rng, scale=1.0, positive=False):
     grads = ad.backward(loss)
     for t in tensors:
         fd = _fd_grad(lambda: float(build(*tensors).data), t.data)
-        an = grads[t.node_id].data
+        an = grads[t]
         denom = np.maximum(1.0, np.maximum(np.abs(fd), np.abs(an)))
         assert np.max(np.abs(fd - an) / denom) < FD_TOL
 
@@ -167,7 +167,7 @@ def test_gelu_forms_equal_the_tanh_formula_in_bytes(product_cube):
     out = ad.gelu(a, product_cube=True) if product_cube else ad.gelu(a)
     assert out.data.tobytes() == (0.5 * x * (1.0 + t)).tobytes()
     local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * (c * (1.0 + 3 * 0.044715 * x ** 2))
-    (grad,) = out.node.grad_fn(g)
+    (grad,) = out.grad_fn(g)
     assert grad.tobytes() == (g * local).tobytes()
     other = ad.gelu(a) if product_cube else ad.gelu(a, product_cube=True)
     assert np.abs(out.data - other.data).max() <= 1e-15 * np.abs(x).max()
@@ -186,7 +186,7 @@ def test_relu_grad(rng):
         loss = _scalarize(ad.relu(t))
         grads = ad.backward(loss)
         fd = _fd_grad(lambda: float(_scalarize(ad.relu(t)).data), t.data)
-        assert np.allclose(grads[t.node_id].data, fd, atol=FD_TOL)
+        assert np.allclose(grads[t], fd, atol=FD_TOL)
 
 
 def test_square_sum_grad(rng):
@@ -220,7 +220,7 @@ def test_cross_entropy_extreme_logits_stable():
     loss = ad.cross_entropy_with_logits(logits, 0)
     assert np.isfinite(float(loss.data))
     grads = ad.backward(loss)
-    assert np.all(np.isfinite(grads[logits.node_id].data))
+    assert np.all(np.isfinite(grads[logits]))
 
 
 def test_dag_reuse_accumulates(rng):
@@ -228,7 +228,7 @@ def test_dag_reuse_accumulates(rng):
     x = ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     loss = ad.tensor_sum(ad.square(ad.add(x, x)))
     grads = ad.backward(loss)
-    assert np.allclose(grads[x.node_id].data, 8.0 * x.data, atol=1e-12)
+    assert np.allclose(grads[x], 8.0 * x.data, atol=1e-12)
 
 
 def test_deep_chain_matches_closed_form():
@@ -238,7 +238,7 @@ def test_deep_chain_matches_closed_form():
         y = ad.scalar_mul(y, 0.9)
     loss = ad.tensor_sum(y)
     grads = ad.backward(loss)
-    assert abs(grads[x.node_id].data.item() - 0.9**40) < 1e-15
+    assert abs(grads[x].item() - 0.9**40) < 1e-15
 
 
 def test_backward_requires_scalar_root(rng):
@@ -251,8 +251,8 @@ def test_backward_skips_non_grad_leaves(rng):
     a = ad.Tensor(rng.standard_normal((2, 2)), requires_grad=True)
     b = ad.Tensor(rng.standard_normal((2, 2)), requires_grad=False)
     grads = ad.backward(ad.tensor_sum(ad.elementwise_mul(a, b)))
-    assert a.node_id in grads
-    assert b.node_id not in grads
+    assert a in grads
+    assert b not in grads
 
 
 @pytest.mark.parametrize("op", [ad.matmul, ad.add, ad.sub, ad.elementwise_mul])
@@ -262,7 +262,7 @@ def test_binary_grad_rules_skip_frozen_parents(rng, op):
     for trainable_first in (True, False):
         x = ad.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         out = op(x, frozen) if trainable_first else op(frozen, x)
-        grads = out.node.grad_fn(np.ones((3, 3)))
+        grads = out.grad_fn(np.ones((3, 3)))
         assert (grads[1] is None) == trainable_first
         assert (grads[0] is None) != trainable_first
 
@@ -271,9 +271,9 @@ def test_no_grad_suppresses_graph(rng):
     a = ad.Tensor(rng.standard_normal((2, 2)), requires_grad=True)
     with ad.no_grad():
         out = ad.add(a, a)
-    assert out.node is None
+    assert out.parents is None and out.grad_fn is None
     out2 = ad.add(a, a)
-    assert out2.node is not None
+    assert out2.parents is not None and out2.grad_fn is not None
 
 
 def test_shape_mismatch_raises(rng):
@@ -308,7 +308,7 @@ def test_adam_first_step_oracle():
     adam = ad.AdamState([x], lr)
     loss = ad.tensor_sum(ad.square(x))
     grads = ad.backward(loss)
-    g = grads[x.node_id].data.copy()
+    g = grads[x].copy()
     ad.adam_step([x], grads, adam)
     m_hat = (1 - 0.9) * g / (1 - 0.9)
     v_hat = (1 - 0.999) * g * g / (1 - 0.999)
@@ -325,7 +325,7 @@ def test_adam_second_step_oracle():
     for t in (1, 2):
         loss = ad.tensor_sum(ad.square(x))
         grads = ad.backward(loss)
-        g = grads[x.node_id].data.item()
+        g = grads[x].item()
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         m_hat = m / (1 - b1**t)
@@ -342,7 +342,7 @@ def test_adam_zero_grad_is_fixed_point():
     # loss ignores x entirely; its gradient is exactly zero
     loss = ad.tensor_sum(ad.square(ad.add(c, ad.scalar_mul(x, 0.0))))
     grads = ad.backward(loss)
-    assert np.all(grads[x.node_id].data == 0.0)
+    assert np.all(grads[x] == 0.0)
     ad.adam_step([x, c], grads, adam)
     assert x.data.item() == 5.0
 
@@ -357,18 +357,17 @@ def test_adam_missing_grad_raises():
 def test_clip_rescales_above_max():
     x = ad.Tensor(np.array([[3.0]]), requires_grad=True)
     y = ad.Tensor(np.array([[4.0]]), requires_grad=True)
-    grads = {x.node_id: ad.Tensor(np.array([[3.0]])),
-             y.node_id: ad.Tensor(np.array([[4.0]]))}
+    grads = {x: np.array([[3.0]]), y: np.array([[4.0]])}
     ad.clip_gradients([x, y], grads, 1.0)  # norm was 5
-    assert abs(grads[x.node_id].data.item() - 0.6) < 1e-12
-    assert abs(grads[y.node_id].data.item() - 0.8) < 1e-12
+    assert abs(grads[x].item() - 0.6) < 1e-12
+    assert abs(grads[y].item() - 0.8) < 1e-12
 
 
 def test_clip_leaves_small_gradients_alone():
     x = ad.Tensor(np.array([[0.3]]), requires_grad=True)
-    grads = {x.node_id: ad.Tensor(np.array([[0.3]]))}
+    grads = {x: np.array([[0.3]])}
     ad.clip_gradients([x], grads, 1.0)
-    assert grads[x.node_id].data.item() == 0.3
+    assert grads[x].item() == 0.3
 
 
 def test_backward_deterministic(rng):
@@ -378,7 +377,7 @@ def test_backward_deterministic(rng):
         x = ad.Tensor(data.copy(), requires_grad=True)
         loss = ad.tensor_sum(ad.square(ad.softmax(ad.matmul(x, x), axis=0)))
         grads = ad.backward(loss)
-        outs.append(grads[x.node_id].data.copy())
+        outs.append(grads[x].copy())
     assert np.array_equal(outs[0], outs[1])
 
 
@@ -418,10 +417,10 @@ def test_train_step_matches_hand_written_sequence(max_norm):
     assert step_adam.step_count == hand_adam.step_count == 4
     for p, q in zip(hand_params, step_params):
         assert p.data.tobytes() == q.data.tobytes()
-        assert (hand_adam.first_moment[p.node_id].tobytes()
-                == step_adam.first_moment[q.node_id].tobytes())
-        assert (hand_adam.second_moment[p.node_id].tobytes()
-                == step_adam.second_moment[q.node_id].tobytes())
+        assert (hand_adam.first_moment[p].tobytes()
+                == step_adam.first_moment[q].tobytes())
+        assert (hand_adam.second_moment[p].tobytes()
+                == step_adam.second_moment[q].tobytes())
 
 
 @pytest.mark.parametrize("scale, value", [
@@ -433,16 +432,16 @@ def test_train_step_non_finite_raises_leaving_state_unchanged(scale, value):
     x = ad.Tensor(np.array([[1e-200], [1e-200]]) if scale == 1e200 else np.ones((2, 1)),
                   requires_grad=True)
     adam = ad.AdamState([x], 0.1)
-    ad.train_step([x], [ad.tensor_sum(ad.scalar_mul(x, 1.0))], adam, 1.0)
-    before = x.data.tobytes()
-    moments = (adam.first_moment[x.node_id].tobytes(),
-               adam.second_moment[x.node_id].tobytes())
-    with pytest.raises(ad.NonFiniteError, match=f"step 2: .*{value}"):
-        ad.train_step([x], [ad.tensor_sum(ad.scalar_mul(x, scale))], adam, 1.0)
+    with np.errstate(all="ignore"):  # as the training loops run train_step
+        ad.train_step([x], [ad.tensor_sum(ad.scalar_mul(x, 1.0))], adam, 1.0)
+        before = x.data.tobytes()
+        moments = (adam.first_moment[x].tobytes(), adam.second_moment[x].tobytes())
+        with pytest.raises(ad.NonFiniteError, match=f"step 2: .*{value}"):
+            ad.train_step([x], [ad.tensor_sum(ad.scalar_mul(x, scale))], adam, 1.0)
     assert x.data.tobytes() == before
     assert adam.step_count == 1
-    assert (adam.first_moment[x.node_id].tobytes(),
-            adam.second_moment[x.node_id].tobytes()) == moments
+    assert (adam.first_moment[x].tobytes(),
+            adam.second_moment[x].tobytes()) == moments
 
 
 # ---------------------------------------------------------------- bit identity
@@ -466,7 +465,7 @@ def test_layer_norm_and_mean_over_axis_equal_numpy_mean_var_bytes(rng):
                     - y * (g * y).mean(axis=axis, keepdims=True))
         out = ad.layer_norm(x, axis=axis)
         assert out.data.tobytes() == y.tobytes()
-        assert out.node.grad_fn(g)[0].tobytes() == dx.tobytes()
+        assert out.grad_fn(g)[0].tobytes() == dx.tobytes()
         mean = ad.mean_over_axis(x, axis)
         assert mean.data.tobytes() == x.data.mean(axis=axis, keepdims=True).tobytes()
 
@@ -496,7 +495,7 @@ def test_one_node_ops_equal_their_chains_in_values_and_layout(rng, kind):
         g = rng.standard_normal(node.data.shape)
         if trial % 2:
             g = np.asfortranarray(g)
-        grads = [ad.backward(ad.tensor_sum(ad.elementwise_mul(out, ad.Tensor(g))))[a.node_id].data
+        grads = [ad.backward(ad.tensor_sum(ad.elementwise_mul(out, ad.Tensor(g))))[a]
                  for out in (node, chain)]
         assert grads[0].tobytes() == grads[1].tobytes()
         assert grads[0].strides == grads[1].strides
@@ -535,8 +534,7 @@ def test_fused_affine_forms_equal_their_chains_in_values_layout_and_sums(rng, fr
                      for o, c in zip(outs, cotangents)]
             grads = ad.backward(ad.add(ad.add(parts[0], parts[1]), parts[2]))
             results.append(([h.data] + [o.data for o in outs],
-                            {k: grads[t.node_id].data for k, t in leaves.items()
-                             if t.node_id in grads}))
+                            {k: grads[t] for k, t in leaves.items() if t in grads}))
         (fused_out, fused_grads), (chain_out, chain_grads) = results
         for a, b in zip(fused_out, chain_out):
             assert a.tobytes() == b.tobytes() and a.strides == b.strides
@@ -572,22 +570,21 @@ def _dfs_backward(root):
         if expanded:
             topo.append(t)
             continue
-        if t.node_id in seen:
+        if t in seen:
             continue
-        seen.add(t.node_id)
+        seen.add(t)
         stack.append((t, True))
-        if t.node is not None:
-            stack.extend((p, False) for p in t.node.parents if p.requires_grad)
-    grads = {root.node_id: np.ones_like(root.data)}
+        if t.parents is not None:
+            stack.extend((p, False) for p in t.parents if p.requires_grad)
+    grads = {root: np.ones_like(root.data)}
     for t in reversed(topo):
-        g = grads.get(t.node_id)
-        if g is None or t.node is None:
+        g = grads.get(t)
+        if g is None or t.grad_fn is None:
             continue
-        for p, pg in zip(t.node.parents, t.node.grad_fn(g)):
+        for p, pg in zip(t.parents, t.grad_fn(g)):
             if pg is not None and p.requires_grad:
-                grads[p.node_id] = grads[p.node_id] + pg if p.node_id in grads else pg
-    by_id = {t.node_id: t for t in topo}
-    return {nid: g for nid, g in grads.items() if by_id[nid].requires_grad}
+                grads[p] = grads[p] + pg if p in grads else pg
+    return {t: g for t, g in grads.items() if t.requires_grad}
 
 
 def _mean_loss(losses):
@@ -631,6 +628,6 @@ def test_backward_equals_depth_first_reference_bytes(graph):
     expect = _dfs_backward(root)
     got = ad.backward(root)
     assert list(got) == list(expect)
-    for nid, g in expect.items():
-        assert got[nid].data.shape == g.shape
-        assert got[nid].data.tobytes() == g.tobytes()
+    for t, g in expect.items():
+        assert got[t].shape == g.shape
+        assert got[t].tobytes() == g.tobytes()

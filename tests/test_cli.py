@@ -102,6 +102,14 @@ def test_help_exits_0(capsys):
     ["fit-map", "--eta", "-1"],
     ["fit-map", "--eta", "0"],
     ["fit-map", "--eta", "inf"],
+    ["pretrain", "--seed", "-1"],
+    ["make-task", "--seed", "-1"],
+    ["sample-bridge", "--seed", "-1"],
+    ["sample-bridge", "--q", "0", "--bridge", "ou"],
+    ["sample-bridge", "--sigma", "-1", "--bridge", "ou"],
+    ["sample-bridge", "--q", "nan"],
+    ["sample-bridge", "--beta", "nan"],
+    ["sample-bridge", "--beta", "inf"],
 ], ids=["sample-bridge-steps", "sample-bridge-paths", "fewshot-k",
         "fewshot-seeds", "train-pet-steps", "train-pet-batch-size",
         "train-pet-eval-every", "pretrain-steps", "pretrain-corpus-size",
@@ -109,7 +117,10 @@ def test_help_exits_0(capsys):
         "make-task-per-class", "make-task-seq-len", "make-task-mix-1.5",
         "make-task-mix-0.5", "make-task-mix-negative", "train-pet-lr-negative",
         "train-pet-lr-0", "train-pet-lr-nan", "fit-map-eta-negative", "fit-map-eta-0",
-        "fit-map-eta-inf"])
+        "fit-map-eta-inf", "pretrain-seed-negative", "make-task-seed-negative",
+        "sample-bridge-seed-negative", "sample-bridge-ou-q-0",
+        "sample-bridge-ou-sigma-negative", "sample-bridge-q-nan", "sample-bridge-beta-nan",
+        "sample-bridge-beta-inf"])
 def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
                                                           capsys):
     assert cli(["make-task", "--per-class", "4", "--out", str(tmp_path)]) == 0
@@ -125,7 +136,8 @@ def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
     out = tmp_path / "out"
     assert cli(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
-    bound = "must be a finite number above 0" if argv[1] in ("--lr", "--eta") else "must be at least"
+    bound = ("must be a finite number above 0" if argv[1] in ("--lr", "--eta", "--q", "--sigma")
+             else "must be a finite number" if argv[1] == "--beta" else "must be at least")
     assert "usage" in err.lower() and bound in err
     assert not out.exists()
 

@@ -230,8 +230,8 @@ def _fd_check(fn, leaves, rel_tol):
             dn = fn().item()
             flat[idx] = old
             fd = (up - dn) / (2 * eps)
-            g = grads.get(leaf.node_id)
-            an = 0.0 if g is None else g.data.reshape(-1)[idx]
+            g = grads.get(leaf)
+            an = 0.0 if g is None else g.reshape(-1)[idx]
             scale = max(abs(fd), abs(an), 1e-8)
             worst = max(worst, abs(fd - an) / scale)
     assert worst < rel_tol, worst

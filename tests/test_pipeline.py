@@ -91,8 +91,7 @@ def test_running_cost_reaches_pet_parameters(world):
                               beta=world.endpoints.row(s.label_word))
     running = ad.scalar_mul(goodness_pdf(world.pdf_map, trace, spec), -1.0)
     grads = ad.backward(running)
-    norms = [float(np.abs(grads[p.node_id].data).sum())
-             for p in pet.trainables() if p.node_id in grads]
+    norms = [float(np.abs(grads[p]).sum()) for p in pet.trainables() if p in grads]
     assert norms and max(norms) > 0.0
 
 
@@ -383,7 +382,7 @@ def test_train_pet_backward_never_reaches_the_map(world, monkeypatch, method):
     for net in used:  # a frozen view on the caller's arrays
         for view, orig in zip(net.trainables(), mapnet.trainables()):
             assert view.data is orig.data
-            assert view.node_id not in keys and orig.node_id not in keys
+            assert view not in keys and orig not in keys
     assert all(t.requires_grad for t in mapnet.trainables())
     for t, data in zip(mapnet.trainables(), before):
         assert np.array_equal(t.data, data)
