@@ -114,21 +114,56 @@ def _check_2d(op, *tensors):
             raise ShapeMismatchError(f"{op}: expected 2-d input, got shape {t.data.shape}")
 
 
+def _check_matrices(op, *tensors):
+    """Each tensor a matrix or a stack of matrices (leading axes first)."""
+    for t in tensors:
+        if t.data.ndim < 2:
+            raise ShapeMismatchError(f"{op}: expected at least 2-d input, got shape "
+                                     f"{t.data.shape}")
+
+
+def _head_shape(op, a, heads):
+    """a's ... x d x N shape split into heads: ... x H x hd x N, hd = d / H."""
+    _check_matrices(op, a)
+    *lead, d, n = a.data.shape
+    if heads < 1 or d % heads:
+        raise ShapeMismatchError(f"{op}: {heads!r} heads for shape {a.data.shape}")
+    return (*lead, heads, d // heads, n)
+
+
+def _heads_grad(a, g):
+    """a's gradient from the gradients g (... x H x hd x N) of its H heads'
+    rows: a new C-contiguous array of what the per-head chain summed, one
+    zero-filled full-size array per head. Those zeros turn -0.0 into 0.0
+    once there are two or more heads, and so does adding 0.0 here."""
+    full = np.empty(a.data.shape)
+    full.reshape(g.shape)[...] = g
+    if g.shape[-3] > 1:
+        full += 0.0
+    return full
+
+
 # ---------------------------------------------------------------- ops
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """a @ b or, with bias, a @ b + bias in one node: the values, and the
-    gradients in the order backward sums them, of add(matmul(a, b), bias)."""
-    _check_2d("matmul", a, b)
-    if a.data.shape[1] != b.data.shape[0]:
+    gradients in the order backward sums them, of add(matmul(a, b), bias).
+    Operands may carry leading axes, which broadcast; numpy then runs one
+    gemm per matrix slice, on the bytes and strides a 2-d call would see."""
+    _check_matrices("matmul", a, b)
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeMismatchError(
             f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
+    try:
+        out = a.data @ b.data
+    except ValueError:
+        raise ShapeMismatchError(
+            f"matmul: leading axes differ, {a.data.shape} @ {b.data.shape}") from None
 
     if bias is None:
         def grad_fn(g):
-            return (g @ b.data.T if a.requires_grad else None,
-                    a.data.T @ g if b.requires_grad else None)
+            return (_unbroadcast(g @ b.data.mT, a.data.shape) if a.requires_grad else None,
+                    _unbroadcast(a.data.mT @ g, b.data.shape) if b.requires_grad else None)
 
         return _make("matmul", [a, b], out, grad_fn)
 
@@ -141,8 +176,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     out = biased
 
     def grad_fn(g):
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None,
+        return (_unbroadcast(g @ b.data.mT, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(a.data.mT @ g, b.data.shape) if b.requires_grad else None,
                 _unbroadcast(g, bias.data.shape) if bias.requires_grad else None)
 
     return _make("matmul", [a, b, bias], out, grad_fn)
@@ -221,7 +256,15 @@ def concat(tensors, axis: int) -> Tensor:
     return _make("concat", tensors, out, grad_fn)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+def slice_rows(a: Tensor, start: int | None = None, stop: int | None = None, *,
+               heads: int | None = None) -> Tensor:
+    """Rows start:stop of a matrix, as a view. With heads=H, the ... x d x N
+    states a as H heads of hd = d / H rows each, ... x H x hd x N, also a
+    view: head j is slice_rows(a, j * hd, (j + 1) * hd), and the gradient is
+    what those H nodes hand back summed."""
+    if heads is not None:
+        return _make("slice_rows", [a], a.data.reshape(_head_shape("slice_rows", a, heads)),
+                     lambda g: (_heads_grad(a, g),))
     _check_2d("slice_rows", a)
     out = a.data[start:stop]
 
@@ -254,20 +297,30 @@ def gather_rows(a: Tensor, indices, axis: int = 0) -> Tensor:
     return _make("gather_rows", [a], out, grad_fn)
 
 
-def transpose(a: Tensor, rows: slice | None = None) -> Tensor:
-    """a.T as a new C-contiguous array or, with a slice of rows, the
-    transpose of those rows: slice_rows and transpose in one node, with
-    their values and layouts."""
-    _check_2d("transpose", a)
-    if rows is None:
-        return _make("transpose", [a], a.data.T.copy(), lambda g: (g.T,))
+def transpose(a: Tensor, *, heads: int | None = None, merge: bool = False) -> Tensor:
+    """a with its last two axes swapped, as a new C-contiguous array.
 
-    def grad_fn(g):
-        full = np.zeros_like(a.data)
-        full[rows] = g.T
-        return (full,)
-
-    return _make("transpose", [a], a.data[rows].T.copy(), grad_fn)
+    The head forms of attention, C-contiguous too, each stand for a chain
+    of nodes per head, with its values, layouts and gradient sums.
+    heads=H splits ... x d x N states into ... x H x N x hd, hd = d / H:
+    head j is transpose(slice_rows(a, j * hd, (j + 1) * hd)). merge=True
+    takes ... x H x N x hd head outputs back to ... x d x N: the transpose
+    of the heads side by side, transpose(concat(heads, axis=1)), whose
+    gradient reaches head j as the same view of the columns as through
+    that concat."""
+    if heads is not None:
+        shape = _head_shape("transpose", a, heads)
+        return _make("transpose", [a], a.data.reshape(shape).swapaxes(-1, -2).copy(),
+                     lambda g: (_heads_grad(a, g.swapaxes(-1, -2)),))
+    if merge:
+        if a.data.ndim < 3:
+            raise ShapeMismatchError(f"transpose: expected heads, got shape {a.data.shape}")
+        *lead, h, n, hd = a.data.shape
+        out = np.ascontiguousarray(a.data.swapaxes(-1, -2)).reshape(*lead, h * hd, n)
+        return _make("transpose", [a], out,
+                     lambda g: (g.reshape(*lead, h, hd, n).swapaxes(-1, -2),))
+    _check_matrices("transpose", a)
+    return _make("transpose", [a], a.data.mT.copy(), lambda g: (g.mT,))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -485,8 +538,11 @@ def adam_step(params, grads, state: AdamState):
 
 
 def clip_gradients(params, grads, max_norm: float):
-    """Scale the gradient arrays of params in place so that their global
-    norm is <= max_norm; returns the norm before scaling."""
+    """Replace the gradients of params in grads by scaled copies so that
+    their global norm is <= max_norm; returns the norm before scaling. The
+    arrays themselves are left alone: backward may hand one array to two
+    parameters (add gives both parents its gradient), and scaling in place
+    would scale that array twice."""
     total = 0.0
     for p in params:
         g = grads[p]
@@ -495,7 +551,7 @@ def clip_gradients(params, grads, max_norm: float):
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in params:
-            grads[p] *= scale
+            grads[p] = grads[p] * scale
     return norm
 
 

@@ -1,11 +1,13 @@
 """Toy frozen transformer encoder: embedding, pre-LN residual layers, a tied
 masked-position prediction head, and per-layer hidden trace extraction.
 
-States flow as d x N column matrices (one column per position). The trace
-records, for layers 0..L, the state at the output position and the mean over
-all positions present at that layer. forward builds one sample's graph,
-or, in its packed form, runs many samples in each no-grad pass for callers
-that read only the logits (mask_logits).
+States flow as d x N column matrices (one column per position), or as
+B x d x N stacks of B samples of one length. The trace records, for layers
+0..L, the state at the output position and the mean over all positions
+present at that layer. forward builds one sample's graph, or, in its packed
+form, runs many samples in each no-grad pass for callers that read only the
+logits (mask_logits); traces runs stacks of equal-length samples in no-grad
+passes for callers that read only the traces.
 """
 
 from __future__ import annotations
@@ -180,9 +182,14 @@ def check_input(config: ModelConfig, tokens, mask_position=None) -> list:
 def embed(state: BackboneState, tokens, mask_position=None) -> Tensor:
     """Token embedding plus positional embedding, as a d x N matrix, of
     input that check_input accepts."""
-    tokens = check_input(state.config, tokens, mask_position)
-    tok = ad.gather_rows(state["embed"], tokens)
-    pos = ad.gather_rows(state["pos"], list(range(len(tokens))))
+    return _embed(state, check_input(state.config, tokens, mask_position))
+
+
+def _embed(state: BackboneState, ids) -> Tensor:
+    """embed of checked token ids: one sequence, or a B x N array of B
+    sequences of one length, whose B x d x N stack of states it returns."""
+    tok = ad.gather_rows(state["embed"], ids)
+    pos = ad.gather_rows(state["pos"], list(range(np.shape(ids)[-1])))
     return ad.transpose(ad.add(tok, pos))
 
 
@@ -214,18 +221,15 @@ def _attention(state: BackboneState, i: int, x: Tensor, pet, xq: Tensor, mask) -
 
     # Head j's N x hd output is softmax(scale * q_j^T k_j) v_j^T, where x_j
     # is the head's hd rows of x; the outputs side by side, transposed, are
-    # the d x N merged states.
-    heads = []
-    scale = 1.0 / np.sqrt(hd)
-    for j in range(cfg.num_heads):
-        lo, hi = j * hd, (j + 1) * hd
-        scores = ad.scalar_mul(ad.matmul(ad.transpose(q, slice(lo, hi)),
-                                         ad.slice_rows(k, lo, hi)), scale)
-        if mask is not None:
-            scores = ad.add(scores, mask)
-        weights = ad.softmax(scores, axis=-1)
-        heads.append(ad.matmul(weights, ad.transpose(v, slice(lo, hi))))
-    merged = ad.transpose(ad.concat(heads, axis=1) if len(heads) > 1 else heads[0])
+    # the d x N merged states. All heads run at once, as H x N x hd and
+    # H x hd x N stacks whose slices hold the bytes of each head's operands.
+    heads = cfg.num_heads
+    scores = ad.scalar_mul(ad.matmul(ad.transpose(q, heads=heads),
+                                     ad.slice_rows(k, heads=heads)), 1.0 / np.sqrt(hd))
+    if mask is not None:
+        scores = ad.add(scores, mask)
+    weights = ad.softmax(scores, axis=-1)
+    merged = ad.transpose(ad.matmul(weights, ad.transpose(v, heads=heads)), merge=True)
 
     bo = state[n["bo"]]
     if pet is not None:
@@ -246,7 +250,8 @@ def _ffn(state: BackboneState, i: int, x: Tensor, pet, product_cube=False) -> Te
 
 
 def _layer(state: BackboneState, i: int, h: Tensor, pet, mask=None, cols=None) -> Tensor:
-    """One pre-LN residual layer over the d x N states h. With cols, the
+    """One pre-LN residual layer over the d x N states h, or over a stack
+    of them (B x d x N; only without mask and cols). With cols, the
     queries, attention output, FFN and residual run only at those columns
     (mask then has one row per column in cols) and the result is d x len(cols).
     A mask marks packed inference, whose FFN takes GELU's product cube
@@ -257,7 +262,7 @@ def _layer(state: BackboneState, i: int, h: Tensor, pet, mask=None, cols=None) -
     if pet is not None:
         b1 = pet.bias(names["ln1_bias"], b1)
         b2 = pet.bias(names["ln2_bias"], b2)
-    x = ad.layer_norm(h, gain=g1, bias=b1)
+    x = ad.layer_norm(h, axis=-2, gain=g1, bias=b1)
     xq = x
     if cols is not None:
         xq, h = _columns(x, cols), _columns(h, cols)
@@ -265,18 +270,38 @@ def _layer(state: BackboneState, i: int, h: Tensor, pet, mask=None, cols=None) -
     if pet is not None:
         attn = pet.adapt(i, "attn", attn)
     h = ad.add(h, attn)
-    ff = _ffn(state, i, ad.layer_norm(h, gain=g2, bias=b2), pet, mask is not None)
+    ff = _ffn(state, i, ad.layer_norm(h, axis=-2, gain=g2, bias=b2), pet, mask is not None)
     if pet is not None:
         ff = pet.adapt(i, "ffn", ff)
     return ad.add(h, ff)
 
 
-def _input_states(state: BackboneState, tokens, mask_position: int, pet) -> Tensor:
-    """Embedded sequence with the PET's input extension attached."""
-    h = embed(state, tokens, mask_position)
+def _input_states(state: BackboneState, ids, pet) -> Tensor:
+    """Embedded checked ids (_embed) with the PET's input extension attached."""
+    h = _embed(state, ids)
     if pet is not None:
         h = pet.attach_input(h, state.config.max_seq_len)
     return h
+
+
+def _encode(state: BackboneState, h: Tensor, positions, pet):
+    """Run every layer over the input states h. Returns the trace's h_out
+    and h_ctx lists: the states at the output positions and the means over
+    positions, of h and after each layer. Of one sample's d x N states
+    (positions: its mask position, in a list), these are d x 1 graph nodes;
+    of a B x d x N stack under no_grad, B x d x 1 stacks, read for sample b
+    at positions[b]."""
+    h_out, h_ctx = [], []
+    for i in range(state.config.num_layers + 1):
+        if i:
+            h = _layer(state, i - 1, h, pet)
+        if h.data.ndim == 2:
+            h_out.append(_columns(h, positions))
+        else:
+            picked = h.data[np.arange(len(positions)), :, positions]
+            h_out.append(Tensor(picked.reshape(*picked.shape, 1)))
+        h_ctx.append(ad.mean_over_axis(h, axis=-1))
+    return h_out, h_ctx
 
 
 def forward(state: BackboneState, tokens, mask_position, pet=None):
@@ -294,24 +319,48 @@ def forward(state: BackboneState, tokens, mask_position, pet=None):
     """
     if isinstance(mask_position, (list, tuple)):
         return _packed_logits(state, list(tokens), mask_position, pet), None
-    h = _input_states(state, tokens, mask_position, pet)
-    h_out = [_columns(h, [mask_position])]
-    h_ctx = [ad.mean_over_axis(h, axis=1)]
-    for i in range(state.config.num_layers):
-        h = _layer(state, i, h, pet)
-        h_out.append(_columns(h, [mask_position]))
-        h_ctx.append(ad.mean_over_axis(h, axis=1))
-
+    tokens = check_input(state.config, tokens, mask_position)
+    h_out, h_ctx = _encode(state, _input_states(state, tokens, pet), [mask_position], pet)
     logits = ad.matmul(state["embed"], h_out[-1])
     return logits, HiddenTrace(h_out=h_out, h_ctx=h_ctx)
 
 
-# Columns per packed inference pass. On a 2-core Xeon, with GELU's cube taken
-# as x * x * x, packs of 96 and 128 columns evaluated the benchmark's pool
-# 1.14-1.35x faster than 64 (each won 9 or 10 of 10 interleaved pairs over
-# three pools) and 48 was slower; the smaller of the two fast sizes keeps the
-# N x N attention masks and the ffn_dim x N temporaries small.
+# Columns per packed inference pass, and at most per stacked trace pass. On a
+# 2-core Xeon, with GELU's cube taken as x * x * x, packs of 96 and 128
+# columns evaluated the benchmark's pool 1.14-1.35x faster than 64 (each won
+# 9 or 10 of 10 interleaved pairs over three pools) and 48 was slower; the
+# smaller of the two fast sizes keeps the N x N attention masks and the
+# ffn_dim x N temporaries small. Stacked traces gain from the cap as well: a
+# 200-sample task pool (no PET, prompt and LoRA) traced in 0.99 s with stacks
+# of at most 96 columns and 1.11 s with one stack per length (medians of 5).
 PACK_COLUMNS = 96
+
+
+def traces(state: BackboneState, pairs, pet=None) -> list:
+    """The HiddenTrace of each (tokens, mask_position) pair, in input order,
+    byte for byte the one forward returns, for callers that read only the
+    traces. Every pair is checked with check_input before any pass. Then
+    the samples of each length run as B x d x N stacks in no-grad passes of
+    at most PACK_COLUMNS columns (prompt included, one sample at least):
+    samples of one length need no mask, and every matrix slice of a stacked
+    op holds the bytes of the per-sample op."""
+    pairs = [(check_input(state.config, tokens, pos), pos) for tokens, pos in pairs]
+    by_length = {}
+    for j, (tokens, _) in enumerate(pairs):
+        by_length.setdefault(len(tokens), []).append(j)
+    out = [None] * len(pairs)
+    with ad.no_grad():
+        for group in by_length.values():
+            h = _input_states(state, np.array([pairs[j][0] for j in group]), pet).data
+            size = max(1, PACK_COLUMNS // h.shape[-1])
+            for lo in range(0, len(group), size):
+                stack = group[lo:lo + size]
+                h_out, h_ctx = _encode(state, Tensor(h[lo:lo + size]),
+                                       [pairs[j][1] for j in stack], pet)
+                for b, j in enumerate(stack):
+                    out[j] = HiddenTrace(h_out=[Tensor(t.data[b]) for t in h_out],
+                                         h_ctx=[Tensor(t.data[b]) for t in h_ctx])
+    return out
 
 
 def _pack_logits(state: BackboneState, pack, pet) -> np.ndarray:
@@ -342,7 +391,8 @@ def _packed_logits(state: BackboneState, tokens: list, layout, pet) -> Tensor:
     out, pack, width, start = [], [], 0, 0
     with ad.no_grad():
         for n, mask_position in layout:
-            h = _input_states(state, tokens[start:start + n], mask_position, pet)
+            ids = check_input(state.config, tokens[start:start + n], mask_position)
+            h = _input_states(state, ids, pet)
             start += n
             if pack and width + h.data.shape[1] > PACK_COLUMNS:
                 out.append(_pack_logits(state, pack, pet))

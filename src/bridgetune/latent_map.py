@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import bridges
 from .autodiff import Tensor
 from .backbone import (BackboneState, HiddenTrace, check_counts, check_finite, check_input,
-                       forward)
+                       traces)
 from .snapshot import check_records, header_value, load_kind, save_snapshot
 from .spline import interp_weights
 
@@ -257,14 +257,12 @@ def running_cost(cfg, mapnet: MapNet, trace: HiddenTrace, spec: bridges.BridgeSp
 
 def collect_traces(state: BackboneState, samples):
     """Frozen-backbone (trace, target) pairs for (tokens, target,
-    mask_position) samples, computed off-graph. The backbone never changes
-    during map fitting, so each sample's trace is computed once."""
-    traces = []
-    with ad.no_grad():
-        for tokens, target, pos in samples:
-            _, trace = forward(state, tokens, pos)
-            traces.append((trace, target))
-    return traces
+    mask_position) samples, computed off-graph in stacks of equal-length
+    samples (backbone.traces). The backbone never changes during map
+    fitting, so each sample's trace is computed once."""
+    samples = list(samples)
+    return list(zip(traces(state, [(tokens, pos) for tokens, _, pos in samples]),
+                    [target for _, target, _ in samples]))
 
 
 def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
@@ -288,7 +286,7 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
     input_dim = 2 * state.config.hidden_dim + (1 if cfg.method == "sde" else 0)
     mapnet = new_mapnet(input_dim, cfg.hidden_dims, cfg.latent_dim, rng,
                         time_augmented=cfg.method == "sde")
-    traces = {}  # sample index -> (trace, target)
+    drawn = {}  # sample index -> (trace, target)
     held = collect_traces(state, holdout) if holdout else None
     params = mapnet.trainables()
     adam = ad.AdamState(params, cfg.learning_rate)
@@ -306,11 +304,11 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
 
     for step in range(1, cfg.max_steps + 1):
         idx = rng.integers(0, len(samples), size=cfg.batch_size).tolist()
-        new = [j for j in dict.fromkeys(idx) if j not in traces]  # first-seen order
-        traces.update(zip(new, collect_traces(state, [samples[j] for j in new])))
+        new = [j for j in dict.fromkeys(idx) if j not in drawn]  # first-seen order
+        drawn.update(zip(new, collect_traces(state, [samples[j] for j in new])))
         with np.errstate(all="ignore"):  # a non-finite step raises NonFiniteError
             losses = [running_cost(cfg, mapnet, trace, bridge_spec(cfg, endpoints, target), rng)
-                      for trace, target in (traces[j] for j in idx)]
+                      for trace, target in (drawn[j] for j in idx)]
             adam.learning_rate = cfg.learning_rate * min(1.0, step / warmup_steps)
             loss = ad.train_step(params, losses, adam, cfg.grad_clip)
         if step % cfg.eval_every == 0 or step == cfg.max_steps:

@@ -40,12 +40,17 @@ class PetConfig:
 
 def attach_prompt(P: Tensor, input_states: Tensor, max_seq_len: int) -> Tensor:
     """Append the m trainable prompt vectors (rows of P) as extra columns
-    after the sequence; the mask position index is unchanged."""
+    after the sequence, or after each sequence of a B x d x N stack; the
+    mask position index is unchanged."""
     m = P.data.shape[0]
-    n = input_states.data.shape[1]
+    n = input_states.data.shape[-1]
     if n + m > max_seq_len:
         raise PromptLengthError(f"{n} positions + {m} prompt > {max_seq_len}")
-    return ad.concat([input_states, ad.transpose(P)], axis=1)
+    prompt = ad.transpose(P)
+    lead = input_states.data.shape[:-2]
+    if lead:  # one copy per sample: times 1.0 keeps every byte, and backward sums the copies
+        prompt = ad.elementwise_mul(Tensor(np.ones((*lead, 1, 1))), prompt)
+    return ad.concat([input_states, prompt], axis=-1)
 
 
 def adapter_forward(h: Tensor, W_d: Tensor, W_u: Tensor) -> Tensor:

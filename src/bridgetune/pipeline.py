@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import bridges
 from .autodiff import Tensor
-from .backbone import BackboneState, check_counts, check_finite, forward, mask_logits
+from .backbone import BackboneState, check_counts, check_finite, forward, mask_logits, traces
 from .latent_map import bridge_spec, check_bridge, running_cost
 from .pets import PetConfig, build_pet, save_pet
 from .snapshot import (SnapshotFormatError, check_records, header_value, load_kind,
@@ -193,17 +193,15 @@ def write_csv(path, cols, rows) -> None:
 
 
 def dump_probe_traces(path, state: BackboneState, pet, dataset, meta: dict) -> None:
-    """Record inference-mode hidden traces on a probe set: per sample, the
-    (L+1) x d matrices of output-position states and context means."""
+    """Record inference-mode hidden traces on a probe set (backbone.traces):
+    per sample, the (L+1) x d matrices of output-position states and
+    context means."""
     tensors = {}
-    labels = []
-    with ad.no_grad():
-        for i, s in enumerate(dataset):
-            _, trace = forward(state, s.tokens, s.mask_position, pet=pet)
-            tensors[f"s{i}.h_out"] = np.hstack([t.data for t in trace.h_out]).T
-            tensors[f"s{i}.h_ctx"] = np.hstack([t.data for t in trace.h_ctx]).T
-            labels.append(s.label_word)
-    header = {"kind": "probe", "labels": labels}
+    for i, trace in enumerate(traces(state, [(s.tokens, s.mask_position) for s in dataset],
+                                     pet)):
+        tensors[f"s{i}.h_out"] = np.hstack([t.data for t in trace.h_out]).T
+        tensors[f"s{i}.h_ctx"] = np.hstack([t.data for t in trace.h_ctx]).T
+    header = {"kind": "probe", "labels": [s.label_word for s in dataset]}
     header.update(meta)
     save_snapshot(path, header, tensors)
 

@@ -186,6 +186,30 @@ def _op_cases(rng):
         lambda g=g, a=a, c=c, w=w: ad.tensor_sum(
             ad.elementwise_mul(ad.layer_norm(a, gain=g, bias=c), w)), [g, a, c, w])
 
+    # head and stacked forms, drawn after all the above
+    a, b, c = _leaf(rng, 2, 3, 4), _leaf(rng, 4, 2), _leaf(rng, 3, 1)
+    cases["matmul stacked"] = (lambda a=a, b=b, c=c: sq(ad.matmul(a, b, bias=c)), [a, b, c])
+
+    a, w = _leaf(rng, 2, 6, 3), _leaf(rng, 2, 3, 3, 2)
+    cases["transpose heads"] = (
+        lambda a=a, w=w: sq(ad.add(ad.transpose(a, heads=3), w)), [a, w])
+
+    a, w = _leaf(rng, 6, 3), _leaf(rng, 2, 3, 3)
+    cases["slice_rows heads"] = (
+        lambda a=a, w=w: sq(ad.add(ad.slice_rows(a, heads=2), w)), [a, w])
+
+    a, w = _leaf(rng, 2, 3, 2), _leaf(rng, 4, 3)
+    cases["transpose merge"] = (
+        lambda a=a, w=w: sq(ad.add(ad.transpose(a, merge=True), w)), [a, w])
+
+    g, a, c, w = _leaf(rng, 5, 1), _leaf(rng, 2, 5, 3), _leaf(rng, 5, 1), _leaf(rng, 2, 5, 3)
+    cases["layer_norm stacked"] = (
+        lambda g=g, a=a, c=c, w=w: ad.tensor_sum(
+            ad.elementwise_mul(ad.layer_norm(a, axis=-2, gain=g, bias=c), w)), [g, a, c, w])
+
+    a = _leaf(rng, 2, 3, 4)
+    cases["mean_over_axis stacked"] = (lambda a=a: sq(ad.mean_over_axis(a, -1)), [a])
+
     return cases
 
 

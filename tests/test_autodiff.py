@@ -130,7 +130,9 @@ def test_gather_rows_grad(rng):
 def test_transpose_grad(rng):
     for _ in range(N_TRIALS):
         _check_op(lambda a: _scalarize(ad.transpose(a)), [(4, 2)], rng)
-        _check_op(lambda a: _scalarize(ad.transpose(a, slice(1, 4))), [(6, 3)], rng)
+        _check_op(lambda a: _scalarize(ad.transpose(a)), [(2, 4, 3)], rng)
+        _check_op(lambda a: _scalarize(ad.transpose(a, heads=2)), [(2, 6, 3)], rng)
+        _check_op(lambda a: _scalarize(ad.transpose(a, merge=True)), [(2, 3, 2)], rng)
 
 
 def test_softmax_grad(rng):
@@ -363,6 +365,19 @@ def test_clip_rescales_above_max():
     assert abs(grads[y].item() - 0.8) < 1e-12
 
 
+def test_clip_scales_a_shared_gradient_array_once():
+    # add hands its one gradient array to both parents
+    a = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+    b = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+    grads = ad.backward(ad.tensor_sum(ad.add(a, b)))
+    assert grads[a] is grads[b]
+    norm = ad.clip_gradients([a, b], grads, 0.5)
+    assert norm == np.sqrt(8.0)
+    clipped = np.sqrt(sum(float((grads[p] ** 2).sum()) for p in (a, b)))
+    assert abs(clipped - 0.5) < 1e-15
+    assert np.array_equal(grads[a], grads[b])
+
+
 def test_clip_leaves_small_gradients_alone():
     x = ad.Tensor(np.array([[0.3]]), requires_grad=True)
     grads = {x: np.array([[0.3]])}
@@ -476,8 +491,6 @@ def _chain_and_node(kind, a):
     if kind == "column-gather":
         return (ad.gather_rows(a, cols, axis=1),
                 ad.transpose(ad.gather_rows(ad.transpose(a), cols)))
-    if kind == "row-slice-transpose":
-        return ad.transpose(a, slice(1, 4)), ad.transpose(ad.slice_rows(a, 1, 4))
     # merged heads: 2 heads of N x 3 outputs, side by side then transposed
     heads = [ad.slice_rows(a, 0, 3), ad.slice_rows(a, 3, 6)]
     heads = [ad.transpose(h) for h in heads]
@@ -485,7 +498,7 @@ def _chain_and_node(kind, a):
             ad.concat([ad.transpose(h) for h in heads], axis=0))
 
 
-@pytest.mark.parametrize("kind", ["column-gather", "row-slice-transpose", "merged-heads"])
+@pytest.mark.parametrize("kind", ["column-gather", "merged-heads"])
 def test_one_node_ops_equal_their_chains_in_values_and_layout(rng, kind):
     for trial in range(10):
         a = ad.Tensor(rng.standard_normal((6, 5)), requires_grad=True)
@@ -499,6 +512,135 @@ def test_one_node_ops_equal_their_chains_in_values_and_layout(rng, kind):
                  for out in (node, chain)]
         assert grads[0].tobytes() == grads[1].tobytes()
         assert grads[0].strides == grads[1].strides
+
+
+def _split_form_and_chain(kind, a, heads):
+    """(head split of a, the per-head nodes it stands for)."""
+    hd = a.data.shape[-2] // heads
+    rows = [(j * hd, (j + 1) * hd) for j in range(heads)]
+    if kind == "query-split":
+        return (ad.transpose(a, heads=heads),
+                [ad.transpose(ad.slice_rows(a, lo, hi)) for lo, hi in rows])
+    return ad.slice_rows(a, heads=heads), [ad.slice_rows(a, lo, hi) for lo, hi in rows]
+
+
+def _head_trial(rng, trial):
+    """(heads, hd, N): random, or every third trial one head of one column."""
+    return tuple(int(v) for v in rng.integers(1, 5, size=3)) if trial % 3 else (1, 3, 1)
+
+
+def _cotangent(rng, shape, trial):
+    g = _random_array(rng, shape, fortran=trial % 2 == 1)
+    g[..., 0, :] = -0.0  # the sign of a zero gradient must come out as before
+    return g
+
+
+@pytest.mark.parametrize("kind", ["query-split", "key-split"])
+def test_head_splits_equal_per_head_chains_in_values_grads_and_strides(rng, kind):
+    for trial in range(30):
+        heads, hd, n = _head_trial(rng, trial)
+        data = _random_array(rng, (heads * hd, n), fortran=False)
+        form_in, chain_in = (ad.Tensor(data.copy(), requires_grad=True) for _ in range(2))
+        form, _ = _split_form_and_chain(kind, form_in, heads)
+        _, chain = _split_form_and_chain(kind, chain_in, heads)
+        for j, node in enumerate(chain):
+            assert form.data[j].tobytes() == node.data.tobytes()
+            assert form.data[j].strides == node.data.strides
+        g = _cotangent(rng, form.data.shape, trial)
+        loss = ad.tensor_sum(ad.elementwise_mul(chain[0], ad.Tensor(g[0])))
+        for j in range(1, heads):
+            loss = ad.add(loss, ad.tensor_sum(ad.elementwise_mul(chain[j], ad.Tensor(g[j]))))
+        want = ad.backward(loss)[chain_in]
+        got = ad.backward(ad.tensor_sum(ad.elementwise_mul(form, ad.Tensor(g))))[form_in]
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == want.strides
+
+
+def test_head_merge_equals_concat_transpose_in_values_grads_and_strides(rng):
+    for trial in range(30):
+        heads, hd, n = _head_trial(rng, trial)
+        data = _random_array(rng, (heads, n, hd), fortran=False)
+        form_in = ad.Tensor(data.copy(), requires_grad=True)
+        chain_in = [ad.Tensor(data[j].copy(), requires_grad=True) for j in range(heads)]
+        form = ad.transpose(form_in, merge=True)
+        chain = ad.transpose(chain_in[0] if heads == 1 else ad.concat(chain_in, axis=1))
+        assert form.data.tobytes() == chain.data.tobytes()
+        assert form.data.strides == chain.data.strides
+        g = ad.Tensor(_cotangent(rng, form.data.shape, trial))
+        got = ad.backward(ad.tensor_sum(ad.elementwise_mul(form, g)))[form_in]
+        want = ad.backward(ad.tensor_sum(ad.elementwise_mul(chain, g)))
+        for j in range(heads):
+            assert got[j].tobytes() == want[chain_in[j]].tobytes()
+            assert got[j].strides == want[chain_in[j]].strides
+
+
+def _attention(x, w, heads, head_forms):
+    """backbone's attention core over d x N states x (or a stack of them):
+    queries, keys and values from one shared x, with the head forms or
+    per head, as backbone built it before them."""
+    q, k, v = (ad.matmul(w[p], x) for p in "qkv")
+    hd = x.data.shape[-2] // heads
+    scale = 1.0 / np.sqrt(hd)
+    if head_forms:
+        scores = ad.matmul(ad.transpose(q, heads=heads), ad.slice_rows(k, heads=heads))
+        weights = ad.softmax(ad.scalar_mul(scores, scale), axis=-1)
+        return ad.transpose(ad.matmul(weights, ad.transpose(v, heads=heads)), merge=True)
+    outs = []
+    for j in range(heads):
+        lo, hi = j * hd, (j + 1) * hd
+        scores = ad.matmul(ad.transpose(ad.slice_rows(q, lo, hi)), ad.slice_rows(k, lo, hi))
+        weights = ad.softmax(ad.scalar_mul(scores, scale), axis=-1)
+        outs.append(ad.matmul(weights, ad.transpose(ad.slice_rows(v, lo, hi))))
+    return ad.transpose(ad.concat(outs, axis=1) if heads > 1 else outs[0])
+
+
+def test_head_forms_give_attention_the_chains_bytes_and_sums(rng):
+    # three gradients meet at the shared x and at each weight, so the sums'
+    # order is checked as well as every slice's bytes
+    for trial in range(20):
+        heads = (1, 2, 4)[trial % 3]
+        d, n = heads * int(rng.integers(1, 9)), int(rng.integers(1, 14))
+        data = {"x": _random_array(rng, (d, n), fortran=False)}
+        data.update({p: _random_array(rng, (d, d), fortran=False) for p in "qkv"})
+        cotangent = _random_array(rng, (d, n), fortran=trial % 2 == 1)
+        results = []
+        for head_forms in (True, False):
+            leaves = {key: ad.Tensor(v.copy(), requires_grad=True) for key, v in data.items()}
+            out = _attention(leaves["x"], leaves, heads, head_forms)
+            grads = ad.backward(ad.tensor_sum(ad.elementwise_mul(out, ad.Tensor(cotangent))))
+            results.append((out.data, {key: grads[t] for key, t in leaves.items()}))
+        (out, grads), (want_out, want_grads) = results
+        assert out.tobytes() == want_out.tobytes() and out.strides == want_out.strides
+        for key, g in want_grads.items():
+            assert grads[key].tobytes() == g.tobytes(), key
+            assert grads[key].strides == g.strides, key
+
+
+def test_stacked_forms_equal_each_samples_bytes(rng):
+    """A B x d x N stack through the layer's ops, weights broadcast, holds
+    each sample's bytes; its gradient into the stack, each sample's."""
+    for trial in range(10):
+        heads, b = (1, 2, 4)[trial % 3], int(rng.integers(1, 6))
+        d, n = heads * int(rng.integers(1, 9)), int(rng.integers(1, 14))
+        xs = _random_array(rng, (b, d, n), fortran=False)
+        w = {p: ad.Tensor(_random_array(rng, (d, d), fortran=False)) for p in "qkv"}
+        gain, bias = (ad.Tensor(_random_array(rng, (d, 1), fortran=False)) for _ in range(2))
+        cotangent = _random_array(rng, (b, d, 1), fortran=False)
+
+        def run(x):
+            y = _attention(ad.layer_norm(x, axis=-2, gain=gain, bias=bias), w, heads, True)
+            return ad.mean_over_axis(ad.matmul(w["q"], y, bias=bias), axis=-1)
+
+        stacked = ad.Tensor(xs.copy(), requires_grad=True)
+        out = run(stacked)
+        grad = ad.backward(ad.tensor_sum(ad.elementwise_mul(out, ad.Tensor(cotangent))))[stacked]
+        for i in range(b):
+            one = ad.Tensor(xs[i].copy(), requires_grad=True)
+            want = run(one)
+            want_grad = ad.backward(ad.tensor_sum(ad.elementwise_mul(
+                want, ad.Tensor(cotangent[i]))))[one]
+            assert out.data[i].tobytes() == want.data.tobytes()
+            assert grad[i].tobytes() == want_grad.tobytes()
 
 
 AFFINE_LEAVES = ("x", "gain", "beta", "wq", "bq", "wk", "bk", "wv", "bv")
@@ -545,10 +687,10 @@ def test_fused_affine_forms_equal_their_chains_in_values_layout_and_sums(rng, fr
             assert fused_grads[k].strides == g.strides, k
 
 
-def test_pretraining_sample_graph_has_125_nodes(monkeypatch):
-    """forward (its trace included) and the cross-entropy record 124 nodes
-    per sample; the loss sum adds one per sample after the first, and the
-    mean's scale one more."""
+def test_pretraining_sample_graph_has_93_nodes(monkeypatch):
+    """forward (its trace included) and the cross-entropy record 92 nodes
+    per sample, attention's head forms 8 per layer; the loss sum adds one
+    per sample after the first, and the mean's scale one more."""
     kinds = []
     make = ad._make
 
@@ -558,7 +700,7 @@ def test_pretraining_sample_graph_has_125_nodes(monkeypatch):
 
     monkeypatch.setattr(ad, "_make", counting_make)
     _pretrain_batch_graph()
-    assert len(kinds) == 8 * 125
+    assert len(kinds) == 8 * 93
 
 
 def _dfs_backward(root):

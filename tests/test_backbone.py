@@ -8,7 +8,7 @@ from bridgetune.backbone import (MASK_ID, PACK_COLUMNS, ModelConfig,
                                  PretrainConfig, bias_names, checksum, embed,
                                  forward, freeze, init_backbone, load_backbone,
                                  mask_logits, masked_accuracy, mlm_samples,
-                                 param_count, pretrain_mlm, save_backbone)
+                                 param_count, pretrain_mlm, save_backbone, traces)
 from bridgetune.pets import PET_KINDS, PetConfig, PromptLengthError, build_pet
 from bridgetune.tasks import make_pretrain_corpus
 
@@ -283,6 +283,76 @@ def test_mask_logits_run_every_token_through_forward(packed_world, monkeypatch):
     assert seen == [sum(len(t) for t, _ in inputs)]
     assert got.shape == (64, len(inputs))
     assert mask_logits(state, []).shape == (64, 0)
+
+
+def _trace_inputs(prompt_len):
+    """Shuffled samples of every length that fits beside prompt_len prompt
+    columns, the longest filling max_seq_len; 9 of length 12 (a stack of
+    at most 8 or, with the prompt, 4 of them fills PACK_COLUMNS)."""
+    rng = np.random.default_rng(31)
+    lengths = list(range(1, 33 - prompt_len)) * 2 + [12] * 7
+    inputs = [(list(rng.integers(0, 64, size=n)), int(rng.integers(0, n))) for n in lengths]
+    return [inputs[j] for j in rng.permutation(len(inputs))]
+
+
+@pytest.mark.parametrize("kind", [None, *PET_KINDS])
+def test_traces_equal_forward_bytes(packed_world, kind, monkeypatch):
+    import bridgetune.backbone as backbone
+    state, _ = packed_world
+    pet = _live_pet(kind, state)
+    prompt = pet.config.prompt_len if kind == "prompt" else 0
+    inputs = _trace_inputs(prompt)
+    stacks, encode = [], backbone._encode
+
+    def recording_encode(state, h, positions, pet):
+        stacks.append(h.data.shape)
+        return encode(state, h, positions, pet)
+
+    monkeypatch.setattr(backbone, "_encode", recording_encode)
+    got = traces(state, inputs, pet)
+    assert len(got) == len(inputs)
+    # one pass per stack of one length, as many samples as fit in PACK_COLUMNS
+    counts = {n: sum(len(t) == n for t, _ in inputs) for n in {len(t) for t, _ in inputs}}
+    per_stack = {n: PACK_COLUMNS // (n + prompt) for n in counts}
+    assert per_stack[12] < counts[12] == 9
+    assert sorted(stacks) == sorted(
+        (min(per_stack[n], c - lo), 32, n + prompt)
+        for n, c in counts.items() for lo in range(0, c, per_stack[n]))
+    with ad.no_grad():
+        for (tokens, pos), trace in zip(inputs, got):
+            _, want = forward(state, tokens, pos, pet)
+            for a, b in zip(trace.h_out + trace.h_ctx, want.h_out + want.h_ctx, strict=True):
+                assert a.data.shape == b.data.shape == (32, 1)
+                assert a.data.tobytes() == b.data.tobytes()
+                assert a.data.strides == b.data.strides
+
+
+def test_traces_of_nothing_and_of_a_layerless_backbone():
+    cfg = ModelConfig(num_layers=0, hidden_dim=8, num_heads=2, vocab_size=16, max_seq_len=10)
+    state = init_backbone(cfg, np.random.default_rng(3))
+    assert traces(state, []) == []
+    (trace,) = traces(state, [([3, 4, 5], 1)])
+    want = forward(state, [3, 4, 5], 1)[1]
+    assert [t.data.tobytes() for t in trace.h_out + trace.h_ctx] == \
+        [t.data.tobytes() for t in want.h_out + want.h_ctx]
+
+
+@pytest.mark.parametrize("bad", [
+    ([5, 99, 5], 1), ([5, 5, 5], 3), ([], 0), ([5, True, 5], 1), ([5] * 33, 0)],
+    ids=["token-99", "mask-position", "empty", "bool-token", "33-tokens"])
+def test_traces_check_every_pair_before_any_pass(packed_world, bad, monkeypatch):
+    import bridgetune.backbone as backbone
+    state, inputs = packed_world
+    monkeypatch.setattr(backbone, "_encode", None)  # any pass fails with a TypeError
+    with pytest.raises(ValueError):
+        traces(state, inputs[:3] + [bad] + inputs[3:])
+
+
+def test_traces_reject_sequence_too_long_for_the_prompt(packed_world):
+    state, inputs = packed_world
+    pet = _live_pet("prompt", state)
+    with pytest.raises(PromptLengthError):
+        traces(state, [inputs[0], (list(range(1, 26)), 3), inputs[2]], pet)  # 25 + 8 > 32
 
 
 def test_masked_accuracy_matches_per_sample_argmax(world):

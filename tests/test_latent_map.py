@@ -477,25 +477,25 @@ def test_fit_map_equals_collecting_every_trace_up_front(world, method, steps, ba
 
 
 def test_fit_map_runs_one_forward_per_drawn_sample_and_holdout_sample(world, monkeypatch):
-    forwards, costed = [], []
-    forward, cost = latent_map.forward, latent_map.running_cost
+    traced, costed = [], []
+    traces, cost = latent_map.traces, latent_map.running_cost
 
-    def counting_forward(state, tokens, mask_position, pet=None):
-        forwards.append(mask_position)
-        return forward(state, tokens, mask_position, pet)
+    def counting_traces(state, pairs, pet=None):
+        traced.extend(pairs)
+        return traces(state, pairs, pet)
 
     def recording_cost(cfg, mapnet, trace, spec, rng):
         costed.append(trace)  # kept alive, so identities stay distinct
         return cost(cfg, mapnet, trace, spec, rng)
 
-    monkeypatch.setattr(latent_map, "forward", counting_forward)
+    monkeypatch.setattr(latent_map, "traces", counting_traces)
     monkeypatch.setattr(latent_map, "running_cost", recording_cost)
     samples, hold = world.fit_samples[:100], world.fit_samples[100:105]
     cfg = FitMapConfig(method="sde", max_steps=4, batch_size=8, eval_every=4, seed=1)
     fit_map(world.state, samples, cfg, world.endpoints, holdout=hold)
     # every trace, holdout ones included, goes into a running cost at least once
     distinct = len({id(trace) for trace in costed})
-    assert len(forwards) == distinct < len(samples)
+    assert len(traced) == distinct < len(samples)
     assert distinct > len(hold)
 
 
