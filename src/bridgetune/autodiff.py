@@ -9,8 +9,10 @@ requires_grad=False; they never receive a gradient slot.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 
 import numpy as np
@@ -97,12 +99,14 @@ def _make(op_kind, parents, out_data, grad_fn):  # op_kind is for wrappers
 
 
 def _unbroadcast(grad, shape):
-    """Reduce a broadcasted gradient back to the operand's shape."""
+    """Reduce a broadcast gradient to the operand's shape within each slice:
+    the trailing axes where the operand has length 1 are summed. Leading
+    axes the operand lacks stay, one gradient per sample of a stack, and
+    backward sums them (sample by sample for a leaf)."""
     if grad.shape == shape:
         return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, s in enumerate(shape):
+    lead = grad.ndim - len(shape)
+    for ax, s in enumerate(shape, start=lead):
         if s == 1 and grad.shape[ax] != 1:
             grad = grad.sum(axis=ax, keepdims=True)
     return grad
@@ -278,13 +282,26 @@ def slice_rows(a: Tensor, start: int | None = None, stop: int | None = None, *,
 
 def gather_rows(a: Tensor, indices, axis: int = 0) -> Tensor:
     """The rows of a at indices or, with axis=1, its columns; an index may
-    repeat. Either way the result is a new C-contiguous array."""
-    _check_2d("gather_rows", a)
+    repeat. Either way the result is a new C-contiguous array.
+
+    Two stacked forms hold each sample's bytes. B x N indices gather B
+    samples' rows (B x N x ...), and the gradient is each sample's own
+    scatter, B x ..., for backward to sum sample by sample. A B x d x N
+    stack a with axis=1 and one index per sample picks each sample's
+    column (B x d x 1), and each gradient slice has the layout of the
+    one-column gather's gradient."""
     idx = np.asarray(indices, dtype=np.int64)
+    if a.data.ndim == 3 and axis == 1:
+        return _pick_columns(a, idx)
+    _check_2d("gather_rows", a)
     out = np.take(a.data, idx, axis=axis)
 
     def grad_fn(g):
         if axis == 0:
+            if idx.ndim == 2:
+                full = np.zeros((len(idx), *a.data.shape))
+                np.add.at(full, (np.arange(len(idx))[:, None], idx), g)
+                return (full,)
             full = np.zeros_like(a.data)
             np.add.at(full, idx, g)
             return (full,)
@@ -293,6 +310,22 @@ def gather_rows(a: Tensor, indices, axis: int = 0) -> Tensor:
         full = np.zeros(a.data.shape[::-1])
         np.add.at(full, idx, g.T)
         return (full.T,)
+
+    return _make("gather_rows", [a], out, grad_fn)
+
+
+def _pick_columns(a: Tensor, idx) -> Tensor:
+    """gather_rows' per-sample column pick: column idx[b] of slice b."""
+    b, _, n = a.data.shape
+    if idx.shape != (b,) or not ((0 <= idx) & (idx < n)).all():
+        raise ShapeMismatchError(f"gather_rows: columns {idx.tolist()} for stack {a.data.shape}")
+    rows = np.arange(b)
+    out = a.data[rows, :, idx].reshape(b, -1, 1)
+
+    def grad_fn(g):  # each slice F-ordered, as the one-column gather's
+        full = np.zeros((b, n, a.data.shape[1]))
+        full[rows, idx] += g[..., 0]
+        return (full.swapaxes(-1, -2),)
 
     return _make("gather_rows", [a], out, grad_fn)
 
@@ -405,10 +438,14 @@ def square(a: Tensor) -> Tensor:
     return _make("square", [a], a.data ** 2, lambda g: (2.0 * a.data * g,))
 
 
-def tensor_sum(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum())
+def tensor_sum(a: Tensor, axis=None) -> Tensor:
+    """The sum of every element or, with axis=(-2, -1), of each matrix
+    slice of a stack: each slice's sum has the bytes of that matrix's own."""
+    out = np.asarray(a.data.sum(axis=axis))
 
     def grad_fn(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return _make("sum", [a], out, grad_fn)
@@ -418,9 +455,13 @@ def log(a: Tensor) -> Tensor:
     return _make("log", [a], np.log(a.data), lambda g: (g / a.data,))
 
 
-def cross_entropy_with_logits(logits: Tensor, target: int) -> Tensor:
+def cross_entropy_with_logits(logits: Tensor, target) -> Tensor:
     """Scalar -log softmax(logits)[target]; logits may be any shape with
-    one element per class (flattened internally)."""
+    one element per class (flattened internally). With a sequence of B
+    targets, logits is a stack of B slices, one target each, and the result
+    the vector of their B losses, each with the bytes of its slice's own."""
+    if np.ndim(target):
+        return _stacked_cross_entropy(logits, np.asarray(target, dtype=np.int64))
     flat = logits.data.reshape(-1)
     target = int(target)
     if not 0 <= target < flat.size:
@@ -440,6 +481,30 @@ def cross_entropy_with_logits(logits: Tensor, target: int) -> Tensor:
     return _make("cross_entropy_with_logits", [logits], out, grad_fn)
 
 
+def _stacked_cross_entropy(logits: Tensor, targets) -> Tensor:
+    n = len(targets)
+    if targets.ndim != 1 or logits.data.ndim < 2 or len(logits.data) != n:
+        raise ShapeMismatchError(f"cross_entropy_with_logits: {targets.shape} targets for "
+                                 f"logits of shape {logits.data.shape}")
+    flat = logits.data.reshape(n, -1)
+    if not ((0 <= targets) & (targets < flat.shape[1])).all():
+        raise ShapeMismatchError(f"cross_entropy_with_logits: targets {targets.tolist()} "
+                                 f"outside {flat.shape[1]} classes")
+    rows = np.arange(n)
+    m = flat.max(axis=1, keepdims=True)
+    exps = np.exp(flat - m)
+    z = exps.sum(axis=1, keepdims=True)
+    out = m[:, 0] + np.log(z[:, 0]) - flat[rows, targets]
+    probs = exps / z
+
+    def grad_fn(g):
+        local = probs.copy()
+        local[rows, targets] -= 1.0
+        return ((g[:, None] * local).reshape(logits.data.shape),)
+
+    return _make("cross_entropy_with_logits", [logits], out, grad_fn)
+
+
 _OP_KINDS = ("matmul", "add", "sub", "scalar_mul", "elementwise_mul", "mean_over_axis",
              "concat", "slice_rows", "gather_rows", "transpose", "softmax", "layer_norm",
              "gelu", "relu", "square", "sum", "log", "cross_entropy_with_logits")
@@ -452,11 +517,36 @@ def op_kinds():
 
 # ---------------------------------------------------------------- backward
 
+def _sum_samples(stacks):
+    """The per-sample gradients that a leaf's stacks (one per use, from one
+    stacked graph) hold, summed as one graph per sample sums them: sample
+    by sample in batch order and, within a sample, its uses in the order
+    they arrived. np.add.reduce adds along
+    the first axis left to right, unless a slice has a single element (then
+    it sums pairwise); starting it from -0.0 keeps the first term's bytes,
+    where its default start 0.0 would turn a -0.0 into 0.0."""
+    if len(stacks) == 1 and stacks[0][0].size > 1:
+        return np.add.reduce(stacks[0], axis=0, initial=-0.0)
+    terms = [s[b] for b in range(len(stacks[0])) for s in stacks]
+    total = terms[0] + terms[1]
+    for term in terms[2:]:
+        total += term
+    return total
+
+
 def backward(root: Tensor) -> dict:
     """Reverse-topological accumulation from a scalar root.
 
     Returns a mapping tensor -> gradient ndarray covering every
     requires_grad ancestor of root.
+
+    A gradient that reaches a parent with leading axes the parent lacks
+    holds one gradient per sample of a stacked graph. A leaf keeps them
+    until its last use and then sums them sample by sample in batch order
+    (_sum_samples), the order in which one graph per sample would have
+    summed them, so a stacked graph gives each weight the bytes of the
+    per-sample graphs. A stack of one sample is that sample's gradient. A
+    non-leaf sums the leading axes at once.
     """
     if root.data.size != 1:
         raise NonScalarRootError(f"root has shape {root.data.shape}")
@@ -466,9 +556,11 @@ def backward(root: Tensor) -> dict:
     # parent are summed in the reverse of this order, and a float sum of
     # three or more terms depends on its order, so another topological order
     # would change the results. A node goes back on the stack under its
-    # parents (done is False) and joins the order when popped again.
+    # parents (done is False) and joins the order when popped again. uses
+    # counts the edges into each leaf.
     topo = []
     done = {}
+    uses = {}
     stack = [root]
     while stack:
         t = stack.pop()
@@ -480,11 +572,14 @@ def backward(root: Tensor) -> dict:
                 for p in t.parents:
                     if p.requires_grad:
                         stack.append(p)
+                        if p.parents is None:
+                            uses[p] = uses.get(p, 0) + 1
         elif not state:
             done[t] = True
             topo.append(t)
 
     grads = {root: np.ones_like(root.data)}
+    waiting = {}  # leaf -> its stacks of per-sample gradients
     for t in reversed(topo):
         g = grads.get(t)
         if g is None or t.grad_fn is None:
@@ -492,8 +587,25 @@ def backward(root: Tensor) -> dict:
         for p, pg in zip(t.parents, t.grad_fn(g)):
             if pg is None or not p.requires_grad:
                 continue
-            prev = grads.get(p)
-            grads[p] = pg if prev is None else prev + pg
+            leaf = p.parents is None
+            if pg.ndim > p.data.ndim:
+                if not leaf:
+                    while pg.ndim > p.data.ndim:
+                        pg = pg.sum(axis=0)
+                elif pg.ndim == p.data.ndim + 1 and len(pg) == 1:
+                    pg = pg[0]
+                else:
+                    waiting.setdefault(p, []).append(pg.reshape(-1, *p.data.shape))
+                    pg = None
+            if pg is not None:
+                prev = grads.get(p)
+                grads[p] = pg if prev is None else prev + pg
+            if leaf:
+                uses[p] -= 1
+                if not uses[p] and p in waiting:
+                    total = _sum_samples(waiting.pop(p))
+                    prev = grads.get(p)
+                    grads[p] = total if prev is None else prev + total
 
     if not root.requires_grad:  # every other entry is a requires_grad parent
         del grads[root]
@@ -556,16 +668,26 @@ def clip_gradients(params, grads, max_norm: float):
 
 
 def train_step(params, losses, adam: AdamState, max_norm: float) -> float:
-    """One optimizer step on the mean of the scalar losses: backward, clip
-    the global gradient norm to max_norm, then Adam. Returns the mean loss.
+    """One optimizer step on the mean of the losses: backward, clip the
+    global gradient norm to max_norm, then Adam. Returns the mean loss.
+
+    losses is a list of scalar losses, one graph per sample, or the vector
+    of a stacked graph's per-sample losses. Either way the mean is
+    ((l0 + l1) + ...) * (1 / n), and each loss's gradient is exactly 1 / n.
 
     A NaN or infinite mean loss or pre-clip gradient norm raises
     NonFiniteError before adam_step, so params and adam are left as they were.
     """
-    loss = losses[0]
-    for extra in losses[1:]:
-        loss = add(loss, extra)
-    loss = scalar_mul(loss, 1.0 / len(losses))
+    if isinstance(losses, Tensor):
+        total = functools.reduce(operator.add, losses.data.tolist())
+        loss = scalar_mul(_make("sum", [losses], np.asarray(total),
+                                lambda g: (np.broadcast_to(g, losses.data.shape),)),
+                          1.0 / len(losses.data))
+    else:
+        loss = losses[0]
+        for extra in losses[1:]:
+            loss = add(loss, extra)
+        loss = scalar_mul(loss, 1.0 / len(losses))
     grads = backward(loss)
     norm = clip_gradients(params, grads, max_norm)
     value = loss.item()

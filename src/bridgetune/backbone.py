@@ -189,7 +189,8 @@ def _embed(state: BackboneState, ids) -> Tensor:
     """embed of checked token ids: one sequence, or a B x N array of B
     sequences of one length, whose B x d x N stack of states it returns."""
     tok = ad.gather_rows(state["embed"], ids)
-    pos = ad.gather_rows(state["pos"], list(range(np.shape(ids)[-1])))
+    pos = ad.gather_rows(state["pos"], np.broadcast_to(np.arange(np.shape(ids)[-1]),
+                                                       np.shape(ids)))
     return ad.transpose(ad.add(tok, pos))
 
 
@@ -295,11 +296,7 @@ def _encode(state: BackboneState, h: Tensor, positions, pet):
     for i in range(state.config.num_layers + 1):
         if i:
             h = _layer(state, i - 1, h, pet)
-        if h.data.ndim == 2:
-            h_out.append(_columns(h, positions))
-        else:
-            picked = h.data[np.arange(len(positions)), :, positions]
-            h_out.append(Tensor(picked.reshape(*picked.shape, 1)))
+        h_out.append(_columns(h, positions))
         h_ctx.append(ad.mean_over_axis(h, axis=-1))
     return h_out, h_ctx
 
@@ -442,6 +439,25 @@ def mlm_samples(corpus, rng: np.random.Generator):
     return out
 
 
+def _mlm_losses(state: BackboneState, samples) -> Tensor:
+    """The masked-token cross-entropy of each (masked tokens, target,
+    position) sample, as one vector. Samples of one length run as one
+    B x d x N stack; a batch of mixed lengths runs one-sample stacks in
+    batch order. Only what the loss reads is recorded: no trace. The
+    gradients backward gives are those of one forward graph per sample
+    (autodiff.backward sums a weight's per-sample gradients in their order)."""
+    for tokens, _, pos in samples:
+        check_input(state.config, tokens, pos)
+    if len({len(tokens) for tokens, _, _ in samples}) > 1:
+        return ad.concat([_mlm_losses(state, [s]) for s in samples], axis=0)
+    h = _embed(state, np.array([tokens for tokens, _, _ in samples]))
+    for i in range(state.config.num_layers):
+        h = _layer(state, i, h, None)
+    picked = _columns(h, [pos for _, _, pos in samples])
+    return ad.cross_entropy_with_logits(ad.matmul(state["embed"], picked),
+                                        [target for _, target, _ in samples])
+
+
 def pretrain_mlm(config: ModelConfig, corpus, hyper: PretrainConfig) -> BackboneState:
     """Masked-token training of all backbone weights on the corpus; the
     caller freezes the result. Zero steps returns the random init."""
@@ -455,8 +471,7 @@ def pretrain_mlm(config: ModelConfig, corpus, hyper: PretrainConfig) -> Backbone
     for _ in range(hyper.max_steps):
         idx = rng.integers(0, len(corpus), size=hyper.batch_size)
         with np.errstate(all="ignore"):  # a non-finite step raises NonFiniteError
-            losses = [ad.cross_entropy_with_logits(forward(state, masked, pos)[0], target)
-                      for masked, target, pos in mlm_samples([corpus[j] for j in idx], rng)]
+            losses = _mlm_losses(state, mlm_samples([corpus[j] for j in idx], rng))
             ad.train_step(params, losses, adam, hyper.grad_clip)
     return state
 

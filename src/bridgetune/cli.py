@@ -326,8 +326,11 @@ def _cmd_eval(args):
     _load_config(args.config)  # validate even though no section applies
     state = load_backbone(args.backbone)
     pet = load_pet(args.pet, state)
+    if pet.label_words is None:  # an eval file's own labels could be one class
+        raise SnapshotFormatError(f"{args.pet}: no label words in the header; "
+                                  f"train-pet records them")
     data = _load_dataset(args.data, state, pet.config)
-    value = evaluate(state, pet, data, args.metric)
+    value = evaluate(state, pet, data, args.metric, pet.label_words)
     print(f"{args.metric}: {value:.6f}")
     return 0
 

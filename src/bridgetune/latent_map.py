@@ -142,21 +142,34 @@ def bridge_quadratic(mapnet: MapNet, trace: HiddenTrace, spec: bridges.BridgeSpe
     """The variable part of the PDF goodness, negated: the sum over latent
     points u_i of ||u_i - m(t_i)||^2 / (2 v(t_i)), kept on the graph, and
     the marginal variances v(t_i). One MapNet forward scores the whole path."""
-    times = np.asarray(latent_times(len(trace.h_out) - 1))
-    means = np.outer(spec.beta, bridges.mean_coeff(spec, times))
+    return _quadratic(mapnet, _knot_matrix(trace), spec.beta, spec)
+
+
+def _quadratic(mapnet: MapNet, knots: Tensor, betas, spec: bridges.BridgeSpec):
+    """bridge_quadratic of a knot matrix toward the endpoint row betas or,
+    for a B-stack of knot matrices, toward one row of the B x r betas per
+    slice: a vector of B sums, each with the bytes of its slice's own. spec
+    gives the bridge's kind, q and sigma."""
+    times = np.asarray(latent_times(knots.data.shape[-1] - 1))
+    means = betas[..., :, None] * bridges.mean_coeff(spec, times)  # np.outer's products
     variances = bridges.marginal_variance(spec, times)
-    diff = ad.sub(mapnet.forward(_knot_matrix(trace)), Tensor(means))
+    diff = ad.sub(mapnet.forward(knots), Tensor(means))
     weighted = ad.elementwise_mul(ad.square(diff), Tensor(0.5 / variances.reshape(1, -1)))
-    return ad.tensor_sum(weighted), variances
+    return ad.tensor_sum(weighted, axis=(-2, -1)), variances
 
 
 def goodness_pdf(mapnet: MapNet, trace: HiddenTrace, spec: bridges.BridgeSpec) -> Tensor:
     """Sum over latent points of the bridge marginal log-density, kept on
     the autodiff graph (differentiable in gamma and in the trace)."""
+    return _goodness_pdf(mapnet, _knot_matrix(trace), spec.beta, spec)
+
+
+def _goodness_pdf(mapnet: MapNet, knots: Tensor, betas, spec: bridges.BridgeSpec) -> Tensor:
+    """goodness_pdf of a knot matrix, or of each slice of a stack (_quadratic)."""
     if spec.horizon != 1.0:
         raise ValueError("pipeline bridges are fixed to horizon 1")
-    quadratic, variances = bridge_quadratic(mapnet, trace, spec)
-    log_norm = -0.5 * spec.dim * np.log(2.0 * math.pi * variances).sum()
+    quadratic, variances = _quadratic(mapnet, knots, betas, spec)
+    log_norm = -0.5 * betas.shape[-1] * np.log(2.0 * math.pi * variances).sum()
     return ad.sub(Tensor(log_norm), quadratic)
 
 
@@ -187,20 +200,31 @@ def goodness_sde(mapnet, trace: HiddenTrace, spec: bridges.BridgeSpec,
         raise ValueError("n_steps must be at least 4")
     if spec.horizon != 1.0:
         raise ValueError("pipeline bridges are fixed to horizon 1")
-    W = _spline_feature_weights(len(trace.h_out) - 1, n_steps)
+    return _goodness_sde(mapnet, _knot_matrix(trace), spec.beta, spec, n_steps,
+                         rng.standard_normal((n_steps - 1, spec.dim)))
+
+
+def _goodness_sde(mapnet, knots: Tensor, betas, spec: bridges.BridgeSpec, n_steps: int,
+                  draws) -> Tensor:
+    """goodness_sde of a knot matrix with its standard normal draws
+    ((n_steps - 1) x r), or of each slice of a stack with (B, n_steps - 1, r)
+    draws, the draws of B samples in turn: B sums, each with the bytes of
+    its slice's own (_quadratic)."""
+    W = _spline_feature_weights(knots.data.shape[-1] - 1, n_steps)
     sig = spec.diffusion_scale()
     dt = 1.0 / n_steps
-    noise = rng.standard_normal((n_steps - 1, spec.dim)) * (sig * math.sqrt(dt))
+    noise = draws * (sig * math.sqrt(dt))
     times = np.arange(n_steps - 1) * dt
-    features = ad.concat([ad.matmul(_knot_matrix(trace), Tensor(W.T)),
-                          Tensor(times.reshape(1, -1))], axis=0)
+    time_row = np.broadcast_to(times, (*knots.data.shape[:-2], 1, n_steps - 1))
+    features = ad.concat([ad.matmul(knots, Tensor(W.T)), Tensor(time_row)], axis=-2)
     G = mapnet.forward(features)
     cumsum = np.triu(np.ones((n_steps - 1, n_steps - 1)), k=1)
-    Z = ad.add(ad.matmul(ad.scalar_mul(G, dt), Tensor(cumsum)), Tensor(noise.T @ cumsum))
+    Z = ad.add(ad.matmul(ad.scalar_mul(G, dt), Tensor(cumsum)),
+               Tensor(noise.swapaxes(-1, -2) @ cumsum))
     a, c = bridges.drift_coeffs(spec, times)
     B = ad.add(ad.elementwise_mul(Z, Tensor(a.reshape(1, -1))),
-               Tensor(np.outer(spec.beta, c)))
-    kl = ad.tensor_sum(ad.square(ad.sub(G, B)))
+               Tensor(betas[..., :, None] * c))  # np.outer's products
+    kl = ad.tensor_sum(ad.square(ad.sub(G, B)), axis=(-2, -1))
     return ad.scalar_mul(kl, 0.5 * dt / sig ** 2)
 
 
@@ -265,6 +289,30 @@ def collect_traces(state: BackboneState, samples):
                     [target for _, target, _ in samples]))
 
 
+def _knots(state: BackboneState, samples):
+    """(knot matrix, target) of each sample, from collect_traces."""
+    return [(_knot_matrix(trace).data, target) for trace, target in
+            collect_traces(state, samples)]
+
+
+def _knot_stack(pairs, endpoints: EndpointTable):
+    """The B x 2d x (L+1) stack of (knot matrix, target) pairs' knot
+    matrices, and the B x r stack of their targets' endpoint rows."""
+    return (Tensor(np.stack([knots for knots, _ in pairs])),
+            endpoints.beta[[target for _, target in pairs]])
+
+
+def _stack_costs(cfg, mapnet: MapNet, knots: Tensor, betas, draws) -> Tensor:
+    """running_cost of each slice of a knot stack, toward its row of betas:
+    a vector with each slice's bytes. draws is the sde noise, the draws of
+    B samples in turn, or one draw that every slice shares."""
+    # kind, q and sigma only: each slice's beta is its row of betas
+    spec = bridges.BridgeSpec(kind=cfg.bridge_kind, q=cfg.q, sigma=cfg.sigma)
+    if cfg.method == "pdf":
+        return ad.scalar_mul(_goodness_pdf(mapnet, knots, betas, spec), -1.0)
+    return _goodness_sde(mapnet, knots, betas, spec, cfg.sde_steps, draws)
+
+
 def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
             endpoints: EndpointTable, holdout=None):
     """Train gamma by Adam to maximize goodness_pdf or minimize the SDE KL.
@@ -277,17 +325,23 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
     (backbone.check_input, and its target against the endpoint table) before
     the first step all the same. Holdout traces are collected up front, as
     the first holdout score reads them all.
+
+    Every knot matrix is 2d x (L+1), whatever the sequence length, so each
+    step's minibatch runs through MapNet as one stack, and the holdout is
+    scored as one no-grad stack. The sde noise is drawn in sample order,
+    and the map, its history and its holdout scores have the bytes of one
+    graph per sample (running_cost).
     """
     samples = list(samples)
     for tokens, target, pos in samples:
         check_input(state.config, tokens, pos)
         endpoints.row(target)
     rng = np.random.default_rng(cfg.seed)
-    input_dim = 2 * state.config.hidden_dim + (1 if cfg.method == "sde" else 0)
-    mapnet = new_mapnet(input_dim, cfg.hidden_dims, cfg.latent_dim, rng,
-                        time_augmented=cfg.method == "sde")
-    drawn = {}  # sample index -> (trace, target)
-    held = collect_traces(state, holdout) if holdout else None
+    sde = cfg.method == "sde"
+    mapnet = new_mapnet(2 * state.config.hidden_dim + sde, cfg.hidden_dims, cfg.latent_dim,
+                        rng, time_augmented=sde)
+    drawn = {}  # sample index -> (knot matrix, target)
+    held = _knot_stack(_knots(state, holdout), endpoints) if holdout else None
     params = mapnet.trainables()
     adam = ad.AdamState(params, cfg.learning_rate)
     warmup_steps = max(1, int(cfg.warmup_ratio * cfg.max_steps))
@@ -296,21 +350,27 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
     def holdout_goodness():
         if held is None:
             return math.nan
+        # each holdout sample's running cost draws from a fresh generator
+        draws = np.random.default_rng(cfg.seed).standard_normal(
+            (cfg.sde_steps - 1, endpoints.r)) if sde else None
+        with ad.no_grad():
+            costs = _stack_costs(cfg, mapnet, *held, draws)
         total = 0.0
-        for trace, target in held:
-            total -= running_cost(cfg, mapnet, trace, bridge_spec(cfg, endpoints, target),
-                                  np.random.default_rng(cfg.seed)).item()
-        return total / len(held)
+        for cost in costs.data.tolist():
+            total -= cost
+        return total / len(costs.data)
 
     for step in range(1, cfg.max_steps + 1):
         idx = rng.integers(0, len(samples), size=cfg.batch_size).tolist()
         new = [j for j in dict.fromkeys(idx) if j not in drawn]  # first-seen order
-        drawn.update(zip(new, collect_traces(state, [samples[j] for j in new])))
+        drawn.update(zip(new, _knots(state, [samples[j] for j in new])))
+        knots, betas = _knot_stack([drawn[j] for j in idx], endpoints)
         with np.errstate(all="ignore"):  # a non-finite step raises NonFiniteError
-            losses = [running_cost(cfg, mapnet, trace, bridge_spec(cfg, endpoints, target), rng)
-                      for trace, target in (drawn[j] for j in idx)]
+            draws = rng.standard_normal((len(idx), cfg.sde_steps - 1, endpoints.r)) \
+                if sde else None
+            costs = _stack_costs(cfg, mapnet, knots, betas, draws)
             adam.learning_rate = cfg.learning_rate * min(1.0, step / warmup_steps)
-            loss = ad.train_step(params, losses, adam, cfg.grad_clip)
+            loss = ad.train_step(params, costs, adam, cfg.grad_clip)
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
             history.append((step, loss, holdout_goodness()))
     return mapnet, history

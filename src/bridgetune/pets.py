@@ -15,8 +15,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import BackboneState, ModelConfig, bias_names, check_counts
-from .snapshot import (SnapshotFormatError, check_records, header_config, load_kind,
-                       save_snapshot)
+from .snapshot import (SnapshotFormatError, check_records, header_config, header_value,
+                       load_kind, save_snapshot)
 
 PET_KINDS = ("prompt", "lora", "bitfit", "adapter")
 
@@ -66,6 +66,7 @@ class PetParams:
     def __init__(self, config: PetConfig):
         self.config = config
         self.tensors: dict[str, Tensor] = {}
+        self.label_words = None  # the sorted label words it was trained on, once known
 
     def attach_input(self, h: Tensor, max_seq_len: int) -> Tensor:
         return h
@@ -182,12 +183,17 @@ def build_pet(config: PetConfig, state: BackboneState,
 
 
 def save_pet(path, pet: PetParams) -> None:
+    """The PET's tensors and config and, once known, its label words."""
     from dataclasses import asdict
     header = {"kind": "pet", "pet_kind": pet.kind, "config": asdict(pet.config)}
+    if pet.label_words is not None:
+        header["label_words"] = list(pet.label_words)
     save_snapshot(path, header, {k: t.data for k, t in pet.tensors.items()})
 
 
 def load_pet(path, state: BackboneState) -> PetParams:
+    """save_pet's PET; its label_words stay None when the header has none,
+    and must otherwise be sorted distinct token ids of the backbone."""
     header, tensors = load_kind(path, "pet")
     config = header_config(path, header, PetConfig)
     try:
@@ -196,4 +202,9 @@ def load_pet(path, state: BackboneState) -> PetParams:
         raise SnapshotFormatError(f"{path}: {e}") from e
     check_records(path, tensors, {k: t.shape for k, t in pet.tensors.items()})
     pet.load_tensors(tensors)
+    if "label_words" in header:
+        pet.label_words = header_value(path, header, "label_words", lambda v: (
+            isinstance(v, list) and v and all(
+                type(w) is int and 0 <= w < state.config.vocab_size for w in v)
+            and v == sorted(set(v))))
     return pet

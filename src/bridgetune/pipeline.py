@@ -179,6 +179,7 @@ def train_pet(state: BackboneState, pet_cfg: PetConfig, mapnet, endpoints,
                 best_step = step
 
     pet.load_tensors(best_tensors)
+    pet.label_words = label_words  # save_pet records them for eval
     return pet, history, {"best_dev_metric": best_metric, "best_step": best_step}
 
 

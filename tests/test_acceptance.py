@@ -210,6 +210,22 @@ def _op_cases(rng):
     a = _leaf(rng, 2, 3, 4)
     cases["mean_over_axis stacked"] = (lambda a=a: sq(ad.mean_over_axis(a, -1)), [a])
 
+    # stacked forms of stage 1's training graphs, drawn after all the above
+    a, ids = _leaf(rng, 5, 3), rng.integers(0, 5, size=(2, 4))  # rows repeat
+    cases["gather_rows samples"] = (lambda a=a, ids=ids: sq(ad.gather_rows(a, ids)), [a])
+
+    a, cols = _leaf(rng, 3, 2, 4), rng.integers(0, 4, size=3)
+    cases["gather_rows column per sample"] = (
+        lambda a=a, cols=cols: sq(ad.gather_rows(a, cols, axis=1)), [a])
+
+    a, w, tgt = _leaf(rng, 3, 6, 1), _leaf(rng, 3), rng.integers(0, 6, size=3)
+    cases["cross_entropy_with_logits per slice"] = (
+        lambda a=a, w=w, tgt=tgt: ad.tensor_sum(
+            ad.elementwise_mul(ad.cross_entropy_with_logits(a, tgt), w)), [a, w])
+
+    a = _leaf(rng, 3, 2, 4)
+    cases["sum per slice"] = (lambda a=a: sq(ad.tensor_sum(a, axis=(-2, -1))), [a])
+
     return cases
 
 

@@ -5,7 +5,9 @@ properties (DAG accumulation, graph suppression, optimizer arithmetic) get
 direct oracles.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -459,6 +461,44 @@ def test_train_step_non_finite_raises_leaving_state_unchanged(scale, value):
             adam.second_moment[x].tobytes()) == moments
 
 
+def _tied_loss(head, table, ids, cols, targets):
+    """The masked-token loss of B samples (ids B x N) as one stack, or of
+    one sample (ids of length N, one column and target): the table's rows
+    gathered per token, one column picked per sample and scored by head."""
+    states = ad.transpose(ad.gather_rows(table, ids))
+    return ad.cross_entropy_with_logits(
+        ad.matmul(head, ad.gather_rows(states, cols, axis=1)), targets)
+
+
+def test_a_leaf_used_twice_per_sample_sums_sample_by_sample(rng):
+    """A stacked graph hands a tied leaf two stacks: the head matmul's
+    (m) and the row gather's (g). backward sums m0 + g0 + m1 + g1 + ...,
+    the order of one graph per sample, not the sum of each use's stack."""
+    orders_differ = 0
+    for trial in range(20):
+        v, d, n, b = 5, 3, 4, 3
+        data = rng.standard_normal((v, d)) * 10.0 ** rng.integers(-3, 4, size=(v, 1))
+        ids, cols = rng.integers(0, v, size=(b, n)), rng.integers(0, n, size=b)
+        targets = rng.integers(0, v, size=b)
+        tied = ad.Tensor(data.copy(), requires_grad=True)
+        got = ad.backward(ad.tensor_sum(_tied_loss(tied, tied, ids, cols, targets)))[tied]
+
+        uses = []  # (m_b, g_b): each sample's gradient through each use alone
+        for i in range(b):
+            head, table = (ad.Tensor(data.copy(), requires_grad=True) for _ in range(2))
+            grads = ad.backward(_tied_loss(head, table, ids[i], [cols[i]], targets[i]))
+            uses.append((grads[head], grads[table]))
+        interleaved = functools.reduce(operator.add, [g for pair in uses for g in pair])
+        chain = _tied_loss(tied, tied, ids[0], [cols[0]], targets[0])
+        for i in range(1, b):
+            chain = ad.add(chain, _tied_loss(tied, tied, ids[i], [cols[i]], targets[i]))
+        assert got.tobytes() == interleaved.tobytes() == ad.backward(chain)[tied].tobytes()
+        by_use = (functools.reduce(operator.add, [m for m, _ in uses])
+                  + functools.reduce(operator.add, [g for _, g in uses]))
+        orders_differ += by_use.tobytes() != interleaved.tobytes()
+    assert orders_differ > 0
+
+
 # ---------------------------------------------------------------- bit identity
 # References written out here, so that each test holds on any CPU.
 
@@ -643,6 +683,55 @@ def test_stacked_forms_equal_each_samples_bytes(rng):
             assert grad[i].tobytes() == want_grad.tobytes()
 
 
+def test_stacked_gathers_equal_each_samples_bytes_and_layout(rng):
+    """B x N ids gather each sample's rows and hand back each sample's
+    scatter; one column per slice of a stack is each sample's one-column
+    gather, its gradient slices F-ordered as that gather's gradient."""
+    for trial in range(10):
+        b, d, n, v = (int(x) for x in rng.integers(1, 7, size=4))
+        table, stack = rng.standard_normal((v, d)), rng.standard_normal((b, d, n))
+        ids, cols = rng.integers(0, v, size=(b, n)), rng.integers(0, n, size=b)
+        row_cot, col_cot = rng.standard_normal((b, n, d)), rng.standard_normal((b, d, 1))
+        col_cot[rng.random(col_cot.shape) < 0.3] = -0.0
+        rows = ad.gather_rows(ad.Tensor(table, requires_grad=True), ids)
+        picked = ad.gather_rows(ad.Tensor(stack, requires_grad=True), cols, axis=1)
+        (row_grads,), (col_grads,) = rows.grad_fn(row_cot), picked.grad_fn(col_cot)
+        for i in range(b):
+            want_rows = ad.gather_rows(ad.Tensor(table, requires_grad=True), ids[i])
+            want_col = ad.gather_rows(ad.Tensor(stack[i].copy(), requires_grad=True),
+                                      [cols[i]], axis=1)
+            (want_row_grad,), (want_col_grad,) = (want_rows.grad_fn(row_cot[i]),
+                                                  want_col.grad_fn(col_cot[i]))
+            for got, want in ((rows.data[i], want_rows.data), (picked.data[i], want_col.data),
+                              (row_grads[i], want_row_grad), (col_grads[i], want_col_grad)):
+                assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+
+@pytest.mark.parametrize("batch", [2, 9, 16])
+@pytest.mark.parametrize("shape", [(3, 4), (4, 1), (1, 1)])
+def test_stacked_leaf_gradient_is_the_per_sample_sum(rng, shape, batch):
+    """A leaf broadcast over a stack gets its per-sample gradients summed
+    left to right in batch order, as one graph per sample sums them: an
+    entry that is -0.0 in every sample stays -0.0, and a one-element leaf
+    is summed in order where numpy's reduce would sum pairwise."""
+    for trial in range(5):
+        scale = 10.0 ** rng.integers(-4, 5, size=(batch, 1, 1))
+        x, c = (rng.standard_normal((batch, *shape)) * scale for _ in range(2))
+        c[:, -1, -1] = -0.0 if c[0].size > 1 else c[:, -1, -1]
+        leaf = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+
+        def loss(x, c):
+            return ad.tensor_sum(ad.elementwise_mul(ad.add(ad.Tensor(x), leaf), ad.Tensor(c)))
+
+        got = ad.backward(loss(x, c))[leaf]
+        chain = loss(x[0], c[0])
+        for i in range(1, batch):
+            chain = ad.add(chain, loss(x[i], c[i]))
+        want = ad.backward(chain)[leaf]
+        assert got.tobytes() == want.tobytes()
+        assert c[0].size == 1 or math.copysign(1.0, got[-1, -1]) == -1.0
+
+
 AFFINE_LEAVES = ("x", "gain", "beta", "wq", "bq", "wk", "bk", "wv", "bv")
 
 
@@ -701,6 +790,26 @@ def test_pretraining_sample_graph_has_93_nodes(monkeypatch):
     monkeypatch.setattr(ad, "_make", counting_make)
     _pretrain_batch_graph()
     assert len(kinds) == 8 * 93
+
+
+@pytest.mark.parametrize("batch", [1, 8])
+def test_stacked_pretraining_batch_graph_has_85_nodes(monkeypatch, batch):
+    """One pretraining step's graph, whatever the batch: the embedding's 4
+    nodes, 19 per layer, the column pick, the head and the cross-entropy,
+    then train_step's sum and scale; no trace is recorded."""
+    kinds = []
+    make = ad._make
+
+    def counting_make(op_kind, parents, out_data, grad_fn):
+        kinds.append(op_kind)
+        return make(op_kind, parents, out_data, grad_fn)
+
+    monkeypatch.setattr(ad, "_make", counting_make)
+    backbone.pretrain_mlm(backbone.ModelConfig(),
+                          tasks.make_pretrain_corpus(8, 12, np.random.default_rng(0)),
+                          backbone.PretrainConfig(max_steps=1, batch_size=batch))
+    assert len(kinds) == 4 + 19 * 4 + 3 + 2
+    assert kinds.count("mean_over_axis") == 0
 
 
 def _dfs_backward(root):

@@ -145,6 +145,69 @@ def test_pretrain_deterministic():
     assert checksum(c) != checksum(a)
 
 
+def _pretrain_one_graph_per_sample(config, corpus, hyper):
+    """Reference: pretrain_mlm with one forward graph per sample and the
+    scalar losses summed in batch order."""
+    rng = np.random.default_rng(hyper.seed)
+    state = init_backbone(config, rng, requires_grad=True)
+    params = list(state.tensors.values())
+    adam = ad.AdamState(params, hyper.learning_rate)
+    for _ in range(hyper.max_steps):
+        idx = rng.integers(0, len(corpus), size=hyper.batch_size)
+        with np.errstate(all="ignore"):
+            losses = [ad.cross_entropy_with_logits(forward(state, masked, pos)[0], target)
+                      for masked, target, pos in mlm_samples([corpus[j] for j in idx], rng)]
+            ad.train_step(params, losses, adam, hyper.grad_clip)
+    return state
+
+
+SMALL = dict(num_layers=2, hidden_dim=16, num_heads=2, ffn_dim=24)
+
+
+@pytest.mark.parametrize("config, corpus, hyper", [
+    (ModelConfig(), make_pretrain_corpus(40, 12, np.random.default_rng(1)),
+     PretrainConfig(max_steps=6, seed=2)),
+    (ModelConfig(**SMALL), make_pretrain_corpus(40, 9, np.random.default_rng(1)),
+     PretrainConfig(max_steps=8, batch_size=1, seed=3)),
+    (ModelConfig(**SMALL), make_pretrain_corpus(40, 9, np.random.default_rng(1)),
+     PretrainConfig(max_steps=8, batch_size=3, seed=4)),
+    (ModelConfig(**SMALL), [[5, 9, 5, 5, 9, 5, 5]] * 3 + [[9, 9, 9, 9, 9, 9, 9]],
+     PretrainConfig(max_steps=8, seed=5)),
+    (ModelConfig(**SMALL), [seq for n in (1, 4, 11) for seq in
+                            make_pretrain_corpus(4, n, np.random.default_rng(n))],
+     PretrainConfig(max_steps=8, batch_size=5, seed=6)),
+    (ModelConfig(num_layers=0, hidden_dim=16, num_heads=2),
+     make_pretrain_corpus(40, 9, np.random.default_rng(1)), PretrainConfig(max_steps=8, seed=7)),
+], ids=["batch-8", "batch-1", "batch-3", "repeated-tokens", "mixed-lengths", "no-layers"])
+def test_stacked_pretraining_equals_one_graph_per_sample(config, corpus, hyper):
+    got = pretrain_mlm(config, corpus, hyper)
+    want = _pretrain_one_graph_per_sample(config, corpus, hyper)
+    for name, t in want.tensors.items():
+        assert got[name].data.tobytes() == t.data.tobytes(), name
+
+
+def test_stacked_pretraining_step_stops_on_a_non_finite_loss(monkeypatch):
+    """A NaN among a stacked batch's losses raises NonFiniteError before
+    Adam, so every weight keeps the bytes of the step before."""
+    seen = []
+    train_step = ad.train_step
+
+    def poisoning_step(params, losses, adam, max_norm):
+        seen.append((params, [p.data.copy() for p in params]))
+        if len(seen) == 3:
+            losses.data[1] = np.nan
+        return train_step(params, losses, adam, max_norm)
+
+    monkeypatch.setattr(ad, "train_step", poisoning_step)
+    with pytest.raises(ad.NonFiniteError, match="step 3: loss nan"):
+        pretrain_mlm(ModelConfig(**SMALL), make_pretrain_corpus(20, 6, np.random.default_rng(1)),
+                     PretrainConfig(max_steps=5, seed=8))
+    assert len(seen) == 3
+    params, kept = seen[-1]
+    for p, data in zip(params, kept, strict=True):
+        assert p.data.tobytes() == data.tobytes()
+
+
 def test_pretrain_rejects_empty_corpus():
     with pytest.raises(ValueError):
         pretrain_mlm(ModelConfig(), [], PretrainConfig(max_steps=1))

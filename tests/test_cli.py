@@ -15,8 +15,9 @@ import pytest
 from bridgetune.cli import cli
 from bridgetune.latent_map import load_mapnet, save_mapnet
 from bridgetune.pets import PetConfig, build_pet, save_pet
+from bridgetune.pipeline import evaluate, predict
 from bridgetune.snapshot import save_snapshot
-from bridgetune.tasks import load_jsonl
+from bridgetune.tasks import load_jsonl, write_jsonl
 
 # ------------------------------------------------------------------ exit codes
 
@@ -503,8 +504,9 @@ def test_dataset_outside_backbone_exits_2_writing_nothing(
         args[args.index("--pet") + 1] = "prompt"
     else:
         pet = tmp_path / "prompt.bin"
-        save_pet(pet, build_pet(PetConfig(kind="prompt"), world.state,
-                                np.random.default_rng(0)))
+        params = build_pet(PetConfig(kind="prompt"), world.state, np.random.default_rng(0))
+        params.label_words = sorted({s.label_word for s in world.pool})
+        save_pet(pet, params)
         args = ["eval", "--backbone", str(world_dir / "backbone.bin"), "--pet", str(pet),
                 "--data", str(bad), "--out", str(out)]
     assert cli(args) == 2
@@ -528,6 +530,37 @@ def test_eval_prints_metric(world_dir, cli_run, capsys):
     assert out.startswith("accuracy: ")
     value = float(out.split(":")[1])
     assert 0.0 <= value <= 1.0
+
+
+def test_eval_scores_a_one_class_file_with_the_training_label_words(
+        world, world_dir, tmp_path, capsys):
+    """eval picks among the label words that train-pet recorded. Among the
+    one class of a one-class file, an untrained PET would score 1.000."""
+    pet = build_pet(PetConfig(kind="lora"), world.state, np.random.default_rng(0))
+    pet.label_words = sorted({s.label_word for s in world.pool})
+    preds = predict(world.state, pet, world.pool, pet.label_words)
+    word = next(s.label_word for s, p in zip(world.pool, preds) if p != s.label_word)
+    missed = [s for s, p in zip(world.pool, preds) if s.label_word == word != p]
+    hit = [s for s, p in zip(world.pool, preds) if s.label_word == word == p]
+    one_class = missed[:4] + hit[:8]
+    data, path = tmp_path / "one-class.jsonl", tmp_path / "pet.bin"
+    write_jsonl(data, one_class)
+    save_pet(path, pet)
+    assert cli(["eval", "--backbone", str(world_dir / "backbone.bin"), "--pet", str(path),
+                "--data", str(data)]) == 0
+    value = float(capsys.readouterr().out.split(":")[1])
+    assert value == pytest.approx(len(hit[:8]) / len(one_class), abs=1e-6)
+    assert evaluate(world.state, pet, one_class) == 1.0
+
+
+def test_eval_refuses_a_pet_without_label_words(world, world_dir, tmp_path, capsys):
+    path = tmp_path / "pet.bin"
+    save_pet(path, build_pet(PetConfig(kind="lora"), world.state, np.random.default_rng(0)))
+    out = tmp_path / "out"
+    assert cli(["eval", "--backbone", str(world_dir / "backbone.bin"), "--pet", str(path),
+                "--data", str(world_dir / "task.jsonl"), "--out", str(out)]) == 2
+    assert f"{path}: no label words in the header" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_reproduces_best_dev_metric(world_dir, cli_run, capsys):

@@ -478,23 +478,25 @@ def test_fit_map_equals_collecting_every_trace_up_front(world, method, steps, ba
 
 def test_fit_map_runs_one_forward_per_drawn_sample_and_holdout_sample(world, monkeypatch):
     traced, costed = [], []
-    traces, cost = latent_map.traces, latent_map.running_cost
+    traces, knots = latent_map.traces, latent_map._knot_matrix
 
     def counting_traces(state, pairs, pet=None):
         traced.extend(pairs)
         return traces(state, pairs, pet)
 
-    def recording_cost(cfg, mapnet, trace, spec, rng):
+    def recording_knots(trace):
         costed.append(trace)  # kept alive, so identities stay distinct
-        return cost(cfg, mapnet, trace, spec, rng)
+        return knots(trace)
 
     monkeypatch.setattr(latent_map, "traces", counting_traces)
-    monkeypatch.setattr(latent_map, "running_cost", recording_cost)
+    monkeypatch.setattr(latent_map, "_knot_matrix", recording_knots)
     samples, hold = world.fit_samples[:100], world.fit_samples[100:105]
     cfg = FitMapConfig(method="sde", max_steps=4, batch_size=8, eval_every=4, seed=1)
     fit_map(world.state, samples, cfg, world.endpoints, holdout=hold)
-    # every trace, holdout ones included, goes into a running cost at least once
-    distinct = len({id(trace) for trace in costed})
+    # every trace, holdout ones included, becomes the knot matrix that the
+    # running costs read, once
+    assert len(costed) == len({id(trace) for trace in costed})
+    distinct = len(costed)
     assert len(traced) == distinct < len(samples)
     assert distinct > len(hold)
 

@@ -273,6 +273,23 @@ def test_map_loader_rejects_bad_bridge_field(tmp_path, key, value):
         load_mapnet(tmp_path / "bad.bin")
 
 
+@pytest.mark.parametrize("value", [[], [5, 5], [5, 2], [2.0, 5], [True, 5], [2, 16],
+                                   [{"a": 1}], "25", None],
+                         ids=["empty", "repeated", "unsorted", "float", "bool",
+                              "outside-vocabulary", "object", "string", "null"])
+def test_pet_loader_checks_label_words(tmp_path, value):
+    _tiny_files(tmp_path)
+    header, tensors = load_snapshot(tmp_path / "pet.bin")
+    assert "label_words" not in header and load_pet(tmp_path / "pet.bin",
+                                                    TINY_STATE).label_words is None
+    save_snapshot(tmp_path / "good.bin", {**header, "label_words": [2, 5]}, tensors)
+    assert load_pet(tmp_path / "good.bin", TINY_STATE).label_words == [2, 5]
+    save_snapshot(tmp_path / "bad.bin", {**header, "label_words": value}, tensors)
+    with pytest.raises(SnapshotFormatError,
+                       match="header field 'label_words' missing or malformed"):
+        load_pet(tmp_path / "bad.bin", TINY_STATE)
+
+
 @pytest.fixture(scope="module")
 def tiny_blobs(tmp_path_factory):
     d = tmp_path_factory.mktemp("tiny")
