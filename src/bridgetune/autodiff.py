@@ -521,16 +521,12 @@ def _sum_samples(stacks):
     """The per-sample gradients that a leaf's stacks (one per use, from one
     stacked graph) hold, summed as one graph per sample sums them: sample
     by sample in batch order and, within a sample, its uses in the order
-    they arrived. np.add.reduce adds along
-    the first axis left to right, unless a slice has a single element (then
-    it sums pairwise); starting it from -0.0 keeps the first term's bytes,
-    where its default start 0.0 would turn a -0.0 into 0.0."""
-    if len(stacks) == 1 and stacks[0][0].size > 1:
-        return np.add.reduce(stacks[0], axis=0, initial=-0.0)
+    they arrived, each term added to the running total as backward adds a
+    gradient to a parent's."""
     terms = [s[b] for b in range(len(stacks[0])) for s in stacks]
-    total = terms[0] + terms[1]
-    for term in terms[2:]:
-        total += term
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
     return total
 
 

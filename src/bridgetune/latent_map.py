@@ -274,9 +274,16 @@ def running_cost(cfg, mapnet: MapNet, trace: HiddenTrace, spec: bridges.BridgeSp
     """The running cost of cfg.method ("pdf" or "sde") for one trace, lower
     when the latent path is closer to the bridge: the negated PDF goodness,
     or the SDE KL over cfg.sde_steps steps with its noise drawn from rng."""
+    return _method_cost(cfg, lambda: goodness_pdf(mapnet, trace, spec),
+                        lambda: goodness_sde(mapnet, trace, spec, cfg.sde_steps, rng))
+
+
+def _method_cost(cfg, pdf, sde) -> Tensor:
+    """The one switch on cfg.method behind running_cost and _stack_costs:
+    the negated PDF goodness pdf(), or the SDE KL sde()."""
     if cfg.method == "pdf":
-        return ad.scalar_mul(goodness_pdf(mapnet, trace, spec), -1.0)
-    return goodness_sde(mapnet, trace, spec, cfg.sde_steps, rng)
+        return ad.scalar_mul(pdf(), -1.0)
+    return sde()
 
 
 def collect_traces(state: BackboneState, samples):
@@ -297,9 +304,10 @@ def _knots(state: BackboneState, samples):
 
 def _knot_stack(pairs, endpoints: EndpointTable):
     """The B x 2d x (L+1) stack of (knot matrix, target) pairs' knot
-    matrices, and the B x r stack of their targets' endpoint rows."""
+    matrices, and the B x r stack of their targets' endpoint rows
+    (EndpointTable.row: ValueError for a target outside the table)."""
     return (Tensor(np.stack([knots for knots, _ in pairs])),
-            endpoints.beta[[target for _, target in pairs]])
+            np.stack([endpoints.row(target) for _, target in pairs]))
 
 
 def _stack_costs(cfg, mapnet: MapNet, knots: Tensor, betas, draws) -> Tensor:
@@ -308,9 +316,8 @@ def _stack_costs(cfg, mapnet: MapNet, knots: Tensor, betas, draws) -> Tensor:
     B samples in turn, or one draw that every slice shares."""
     # kind, q and sigma only: each slice's beta is its row of betas
     spec = bridges.BridgeSpec(kind=cfg.bridge_kind, q=cfg.q, sigma=cfg.sigma)
-    if cfg.method == "pdf":
-        return ad.scalar_mul(_goodness_pdf(mapnet, knots, betas, spec), -1.0)
-    return _goodness_sde(mapnet, knots, betas, spec, cfg.sde_steps, draws)
+    return _method_cost(cfg, lambda: _goodness_pdf(mapnet, knots, betas, spec),
+                        lambda: _goodness_sde(mapnet, knots, betas, spec, cfg.sde_steps, draws))
 
 
 def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
@@ -324,7 +331,8 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
     runs no forward for samples it never draws; every sample is checked
     (backbone.check_input, and its target against the endpoint table) before
     the first step all the same. Holdout traces are collected up front, as
-    the first holdout score reads them all.
+    the first holdout score reads them all, and holdout targets are checked
+    against the endpoint table then.
 
     Every knot matrix is 2d x (L+1), whatever the sequence length, so each
     step's minibatch runs through MapNet as one stack, and the holdout is

@@ -514,6 +514,16 @@ def test_fit_map_rejects_a_bad_sample_that_no_batch_draws(world, bad):
     fit_map(world.state, samples[:20], cfg, world.endpoints)
 
 
+@pytest.mark.parametrize("target", [-1, 64], ids=["target-minus-1", "target-64"])
+def test_fit_map_rejects_a_holdout_target_outside_the_endpoint_table(world, target):
+    tokens, _, pos = world.fit_samples[20]
+    hold = list(world.fit_samples[21:23]) + [(tokens, target, pos)]
+    cfg = FitMapConfig(method="pdf", max_steps=1, batch_size=2, eval_every=1)
+    with pytest.raises(ValueError, match="outside the endpoint table"):
+        fit_map(world.state, world.fit_samples[:20], cfg, world.endpoints, holdout=hold)
+    fit_map(world.state, world.fit_samples[:20], cfg, world.endpoints, holdout=hold[:2])
+
+
 # ------------------------------------------------------------ save and load
 
 def test_mapnet_save_load_round_trip(world, tmp_path):
