@@ -280,7 +280,9 @@ def running_cost(cfg, mapnet: MapNet, trace: HiddenTrace, spec: bridges.BridgeSp
 
 def _method_cost(cfg, pdf, sde) -> Tensor:
     """The one switch on cfg.method behind running_cost and _stack_costs:
-    the negated PDF goodness pdf(), or the SDE KL sde()."""
+    the negated PDF goodness pdf(), or the SDE KL sde(). running_cost
+    scores through the public goodness functions, whose calls the
+    benchmark's tracer counts per trace."""
     if cfg.method == "pdf":
         return ad.scalar_mul(pdf(), -1.0)
     return sde()
