@@ -14,8 +14,10 @@ Lines:
   backbone-mixed       60 steps on a corpus of lengths 1 to 16, batches of 5
   fitmap-pdf, -sde     maps fitted on backbone-300's masked samples with a
                        holdout: weights, biases and history
+  fitmap-ou-pdf, -sde  the same toward the OU bridge with q 1.5 and sigma 0.9
   pet-<kind>-<method>  train_pet's best tensors, history and summary for the
                        four PETs x {none, pdf, sde}
+  pet-lora-ou-pdf, -sde  LoRA trained on the OU maps, whose bridge it takes
   probe-<kind>         the bytes of dump_probe_traces' file, without a PET
                        and under each trained PET
   world-*              with --world: build_world's backbone and both maps
@@ -34,6 +36,8 @@ from bridgetune.backbone import ModelConfig, PretrainConfig
 from bridgetune.latent_map import FitMapConfig
 from bridgetune.pets import PET_KINDS, PetConfig
 from bridgetune.pipeline import TrainConfig
+
+OU_BRIDGE = {"bridge_kind": "ou", "q": 1.5, "sigma": 0.9}
 
 
 def digest(*parts):
@@ -81,12 +85,13 @@ def main(argv=None):
     holdout = backbone.mlm_samples(tasks.make_pretrain_corpus(
         24, 12, np.random.default_rng(4)), np.random.default_rng(5))
     maps = {}
-    for method, steps, batch in (("pdf", 90, 16), ("sde", 45, 8)):
-        cfg = FitMapConfig(method=method, max_steps=steps, batch_size=batch, eval_every=15,
-                           seed=6)
-        maps[method], history = latent_map.fit_map(state, samples, cfg, endpoints,
-                                                   holdout=holdout)
-        emit(f"fitmap-{method}", map_digest(maps[method], history))
+    for bridge, ou in (("", {}), ("ou-", OU_BRIDGE)):
+        for method, steps, batch in (("pdf", 90, 16), ("sde", 45, 8)):
+            cfg = FitMapConfig(method=method, max_steps=steps, batch_size=batch,
+                               eval_every=15, seed=6, **ou)
+            maps[bridge + method], history = latent_map.fit_map(state, samples, cfg,
+                                                                endpoints, holdout=holdout)
+            emit(f"fitmap-{bridge}{method}", map_digest(maps[bridge + method], history))
 
     train, dev = pipeline.fewshot_split(
         tasks.make_task_dataset(16, 12, 0.35, np.random.default_rng(7)), 8, 0)
@@ -99,6 +104,11 @@ def main(argv=None):
                 state, PetConfig(kind=kind), maps.get(method), endpoints, train, dev, cfg)
             emit(f"pet-{kind}-{method}", digest(pet.clone_tensors(), history, summary))
             trained[kind] = pet
+    for method, alpha in (("pdf", 0.3), ("sde", 0.01)):
+        cfg = TrainConfig(method=method, alpha=alpha, max_steps=30, eval_every=10, seed=8)
+        pet, history, summary = pipeline.train_pet(
+            state, PetConfig(kind="lora"), maps[f"ou-{method}"], endpoints, train, dev, cfg)
+        emit(f"pet-lora-ou-{method}", digest(pet.clone_tensors(), history, summary))
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "probe.bin")

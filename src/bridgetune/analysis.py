@@ -101,11 +101,14 @@ def _betainc_reg(a: float, b: float, x: float) -> float:
 
 def pearson(x, y):
     """Product-moment coefficient with a two-sided p-value from the
-    t-distribution with n-2 degrees of freedom."""
+    t-distribution with n-2 degrees of freedom. StatisticsError on a NaN or
+    infinite input, which would otherwise clip to r = 1."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise StatisticsError("inputs must be equal-length 1-d sequences")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise StatisticsError("non-finite value in an input")
     n = len(x)
     if n < 3:
         raise StatisticsError(f"need at least 3 observations, got {n}")

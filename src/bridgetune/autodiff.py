@@ -460,32 +460,19 @@ def cross_entropy_with_logits(logits: Tensor, target) -> Tensor:
     one element per class (flattened internally). With a sequence of B
     targets, logits is a stack of B slices, one target each, and the result
     the vector of their B losses, each with the bytes of its slice's own."""
-    if np.ndim(target):
-        return _stacked_cross_entropy(logits, np.asarray(target, dtype=np.int64))
-    flat = logits.data.reshape(-1)
-    target = int(target)
-    if not 0 <= target < flat.size:
-        raise ShapeMismatchError(
-            f"cross_entropy_with_logits: target {target} outside {flat.size} classes")
-    m = flat.max()
-    exps = np.exp(flat - m)
-    z = exps.sum()
-    out = np.asarray(m + np.log(z) - flat[target])
-    probs = exps / z
-
-    def grad_fn(g):
-        local = probs.copy()
-        local[target] -= 1.0
-        return (float(g) * local.reshape(logits.data.shape),)
-
-    return _make("cross_entropy_with_logits", [logits], out, grad_fn)
-
-
-def _stacked_cross_entropy(logits: Tensor, targets) -> Tensor:
-    n = len(targets)
-    if targets.ndim != 1 or logits.data.ndim < 2 or len(logits.data) != n:
+    if not np.ndim(target):  # the one-slice stack, with a 0-d loss
+        return _stacked_cross_entropy(logits, np.asarray([target], dtype=np.int64), ())
+    targets = np.asarray(target, dtype=np.int64)
+    if targets.ndim != 1 or logits.data.ndim < 2 or len(logits.data) != len(targets):
         raise ShapeMismatchError(f"cross_entropy_with_logits: {targets.shape} targets for "
                                  f"logits of shape {logits.data.shape}")
+    return _stacked_cross_entropy(logits, targets, targets.shape)
+
+
+def _stacked_cross_entropy(logits: Tensor, targets, shape) -> Tensor:
+    """The losses of len(targets) slices of logits, one target each, as an
+    array of the given shape."""
+    n = len(targets)
     flat = logits.data.reshape(n, -1)
     if not ((0 <= targets) & (targets < flat.shape[1])).all():
         raise ShapeMismatchError(f"cross_entropy_with_logits: targets {targets.tolist()} "
@@ -494,13 +481,13 @@ def _stacked_cross_entropy(logits: Tensor, targets) -> Tensor:
     m = flat.max(axis=1, keepdims=True)
     exps = np.exp(flat - m)
     z = exps.sum(axis=1, keepdims=True)
-    out = m[:, 0] + np.log(z[:, 0]) - flat[rows, targets]
+    out = (m[:, 0] + np.log(z[:, 0]) - flat[rows, targets]).reshape(shape)
     probs = exps / z
 
     def grad_fn(g):
         local = probs.copy()
         local[rows, targets] -= 1.0
-        return ((g[:, None] * local).reshape(logits.data.shape),)
+        return ((np.reshape(g, (n, 1)) * local).reshape(logits.data.shape),)
 
     return _make("cross_entropy_with_logits", [logits], out, grad_fn)
 

@@ -146,10 +146,6 @@ def freeze(state: BackboneState) -> BackboneState:
     return state
 
 
-def param_count(state: BackboneState) -> int:
-    return sum(t.data.size for t in state.tensors.values())
-
-
 def checksum(state: BackboneState) -> str:
     h = hashlib.sha256()
     for name in sorted(state.tensors):

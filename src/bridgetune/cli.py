@@ -22,8 +22,8 @@ from .autodiff import NonFiniteError
 from .backbone import (ModelConfig, PretrainConfig, check_input, freeze,
                        load_backbone, masked_accuracy, mlm_samples, pretrain_mlm,
                        save_backbone)
-from .latent_map import (EndpointTable, FitMapConfig, build_endpoints,
-                         fit_map, load_mapnet, save_mapnet)
+from .latent_map import (FitMapConfig, bridge_spec, build_endpoints, fit_map,
+                         load_mapnet, save_mapnet)
 from .pets import PetConfig, build_pet, load_pet
 from .pipeline import (TrainConfig, evaluate, fewshot_split, load_probe,
                        run_training, write_csv)
@@ -41,14 +41,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _dataclass_from(cls, section: dict, overrides: dict):
-    """Defaults, then config-file section, then explicit CLI overrides; a
-    value the dataclass rejects with ValueError is a DataError."""
+def _section(path, sections: dict, name: str, keys) -> dict:
+    """The config file's section name ({} when it has none); a section that
+    is not a JSON object, or a key of it outside keys, is a DataError."""
+    section = sections.get(name, {})
+    if not isinstance(section, dict):
+        raise DataError(f"{path}: section {name!r} is not a JSON object")
+    for key in section:
+        if key not in keys:
+            raise DataError(f"{path}: section {name!r} has unknown key {key!r}")
+    return section
+
+
+def _dataclass_from(cls, path, sections: dict, name: str, overrides: dict):
+    """Defaults, then the config file's section name, then explicit CLI
+    overrides; a key of the section that is not a field of cls, or a value
+    the dataclass rejects with ValueError, is a DataError."""
+    section = _section(path, sections, name, {f.name for f in fields(cls)})
     values = {}
-    known = {f.name for f in fields(cls)}
     for src in (section, overrides):
         for key, val in src.items():
-            if key in known and val is not None:
+            if val is not None:
                 values[key] = val
     try:
         return cls(**values)
@@ -118,13 +131,17 @@ def _load_dataset(path, state, pet_cfg: PetConfig):
 
 
 def _load_config(path):
+    """The config file's sections: a JSON object, {} without a file."""
     if path is None:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            sections = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read config {path}: {e}") from e
+    if not isinstance(sections, dict):
+        raise DataError(f"{path}: a config is a JSON object of sections")
+    return sections
 
 
 def _build_parser():
@@ -213,14 +230,14 @@ def _build_parser():
 
 def _cmd_pretrain(args):
     cfg_file = _load_config(args.config)
-    model_cfg = _dataclass_from(ModelConfig, cfg_file.get("model", {}), {})
+    model_cfg = _dataclass_from(ModelConfig, args.config, cfg_file, "model", {})
     if args.seq_len > model_cfg.max_seq_len:
         raise DataError(f"--seq-len {args.seq_len} exceeds max_seq_len "
                         f"{model_cfg.max_seq_len}")
     rng = np.random.default_rng(args.seed)
     corpus = make_pretrain_corpus(args.corpus_size, args.seq_len, rng)
     holdout = make_pretrain_corpus(60, args.seq_len, rng)
-    pre_cfg = _dataclass_from(PretrainConfig, cfg_file.get("pretrain", {}),
+    pre_cfg = _dataclass_from(PretrainConfig, args.config, cfg_file, "pretrain",
                               {"max_steps": args.steps, "seed": args.seed})
     state = freeze(pretrain_mlm(model_cfg, corpus, pre_cfg))
     os.makedirs(args.out, exist_ok=True)
@@ -258,7 +275,7 @@ def _cmd_fit_map(args):
     overrides = {"method": args.method, "bridge_kind": args.bridge,
                  "max_steps": args.steps, "latent_dim": args.latent_dim,
                  "seed": args.seed}
-    cfg = _dataclass_from(FitMapConfig, cfg_file.get("fitmap", {}), overrides)
+    cfg = _dataclass_from(FitMapConfig, args.config, cfg_file, "fitmap", overrides)
     if cfg.max_steps < 1:
         raise DataError(f"fitmap max_steps must be at least 1, got {cfg.max_steps}")
     eta = args.eta if args.eta is not None else 1.0
@@ -268,22 +285,14 @@ def _cmd_fit_map(args):
     mapnet, history = fit_map(state, samples, cfg, endpoints)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"map-{args.method}.bin")
-    save_mapnet(path, mapnet, args.method, endpoints,
-                bridge_kind=cfg.bridge_kind, q=cfg.q, sigma=cfg.sigma)
+    save_mapnet(path, mapnet, args.method, endpoints)
     print(f"final training loss: {history[-1][1]:.4f}")
     print(f"wrote {path}")
     return 0
 
 
-def _map_bridge(header) -> dict:
-    """The bridge a map was fitted under (load_mapnet checked these header
-    fields), as TrainConfig fields."""
-    return {key: header[key] for key in ("bridge_kind", "q", "sigma")}
-
-
 def _cmd_train_pet(args):
     cfg_file = _load_config(args.config)
-    section = cfg_file.get("train", {})
     state = load_backbone(args.backbone)
     overrides = {
         "alpha": args.alpha, "method": args.method,
@@ -294,15 +303,8 @@ def _cmd_train_pet(args):
     mapnet = endpoints = header = None
     if args.map is not None:
         mapnet, endpoints, header = load_mapnet(args.map)
-        bridge = _map_bridge(header)
-        clash = {k: v for k, v in bridge.items() if k in section and section[k] != v}
-        if clash:
-            raise DataError(f"train config {clash} contradicts the bridge of "
-                            f"{args.map}: {bridge}")
-        overrides.update(bridge)
-    cfg = _dataclass_from(TrainConfig, section, overrides)
-    pet_cfg = _dataclass_from(PetConfig, cfg_file.get("pet", {}),
-                              {"kind": args.pet})
+    cfg = _dataclass_from(TrainConfig, args.config, cfg_file, "train", overrides)
+    pet_cfg = _dataclass_from(PetConfig, args.config, cfg_file, "pet", {"kind": args.pet})
     try:
         build_pet(pet_cfg, state, np.random.default_rng(0))
     except ValueError as e:  # a PET config this backbone cannot take
@@ -372,10 +374,9 @@ def _cmd_analyze(args):
     _load_config(args.config)
     mapnet = endpoints = None
     if args.map is not None:
-        mapnet, endpoints, header = load_mapnet(args.map)
+        mapnet, endpoints, _ = load_mapnet(args.map)
         if mapnet.time_augmented:
             raise DataError(f"{args.map}: an sde map, but analyze scores traces with a pdf map")
-        bridge = _map_bridge(header)
     rows = []
     for run in args.runs:
         cfg_path = os.path.join(run, "config.json")
@@ -386,7 +387,7 @@ def _cmd_analyze(args):
             raise DataError(f"cannot read {cfg_path}: {e}") from e
         train = cfg.get("train") if isinstance(cfg, dict) else None
         alpha = train.get("alpha") if isinstance(train, dict) else None
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        if type(alpha) not in (int, float) or not abs(alpha) <= sys.float_info.max:
             raise DataError(f"{cfg_path}: train.alpha missing or not a number")
         probe_path = os.path.join(run, "probe.bin")
         labels, samples = load_probe(probe_path)
@@ -399,13 +400,10 @@ def _cmd_analyze(args):
             by_label.setdefault(label, []).append(h_out[-1])
             if mapnet is not None:
                 try:
-                    beta = endpoints.row(label)
+                    spec = bridge_spec(mapnet, endpoints, label)
                 except ValueError as e:
                     raise DataError(f"{probe_path}: {e}") from e
                 trace = trace_from_arrays(h_out, h_ctx)
-                spec = bridges.BridgeSpec(
-                    kind=bridge["bridge_kind"], beta=beta,
-                    horizon=1.0, q=bridge["q"], sigma=bridge["sigma"])
                 total, per_layer = bridge_distance(trace, mapnet, spec)
                 dists.append((total, per_layer))
         row = {"run": run, "alpha": alpha,
@@ -431,7 +429,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_make_task(args):
-    section = _load_config(args.config).get("task", {})
+    section = _section(args.config, _load_config(args.config), "task",
+                       ("per_class", "seq_len", "mix"))
 
     def resolve(flag, key, fallback):
         return flag if flag is not None else section.get(key, fallback)

@@ -9,7 +9,7 @@ backbone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -81,12 +81,16 @@ def build_endpoints(V_embed: np.ndarray, r: int, eta: float = 1.0) -> EndpointTa
 @dataclass
 class MapNet:
     """Three affine layers with relu between them. Input is [h_o; h_bar]
-    (2d) for the PDF method, plus a scalar time channel (2d+1) for SDE."""
+    (2d) for the PDF method, plus a scalar time channel (2d+1) for SDE.
+    bridge is the bridge the map was fitted toward: its kind, q and sigma
+    (its beta is unused; bridge_spec gives each token's)."""
 
     weights: list
     biases: list
     dims: tuple
     time_augmented: bool
+    bridge: bridges.BridgeSpec = field(
+        default_factory=lambda: bridges.BridgeSpec(kind=bridges.BROWNIAN))
 
     def forward(self, x: Tensor) -> Tensor:
         h = x
@@ -105,7 +109,8 @@ class MapNet:
         for running costs whose backward must not reach the map."""
         return MapNet(weights=[Tensor(w.data) for w in self.weights],
                       biases=[Tensor(b.data) for b in self.biases],
-                      dims=self.dims, time_augmented=self.time_augmented)
+                      dims=self.dims, time_augmented=self.time_augmented,
+                      bridge=self.bridge)
 
     @property
     def out_dim(self) -> int:
@@ -251,22 +256,18 @@ class FitMapConfig:
         check_counts(self, latent_dim=1, batch_size=1, max_steps=0, eval_every=1,
                      sde_steps=4)
         check_finite(self, 0, "learning_rate")
-        check_bridge(self)
+        if self.bridge_kind not in (bridges.BROWNIAN, bridges.OU):
+            raise ValueError(f"bridge_kind must be {bridges.BROWNIAN} or {bridges.OU}, "
+                             f"got {self.bridge_kind!r}")
+        check_finite(self, 0, "q", "sigma")
 
 
-def check_bridge(cfg) -> None:
-    """Raise ValueError unless cfg's bridge_kind is brownian or ou and its q
-    and sigma are finite numbers above 0: the fields bridge_spec reads."""
-    if cfg.bridge_kind not in (bridges.BROWNIAN, bridges.OU):
-        raise ValueError(f"bridge_kind must be {bridges.BROWNIAN} or {bridges.OU}, "
-                         f"got {cfg.bridge_kind!r}")
-    check_finite(cfg, 0, "q", "sigma")
-
-
-def bridge_spec(cfg, endpoints: EndpointTable, token: int) -> bridges.BridgeSpec:
-    """The bridge toward token's endpoint row, of cfg's kind, q and sigma."""
-    return bridges.BridgeSpec(kind=cfg.bridge_kind, beta=endpoints.row(token),
-                              q=cfg.q, sigma=cfg.sigma)
+def bridge_spec(mapnet: MapNet, endpoints: EndpointTable, token: int) -> bridges.BridgeSpec:
+    """The bridge toward token's endpoint row, of the kind, q and sigma
+    that mapnet was fitted toward."""
+    bridge = mapnet.bridge
+    return bridges.BridgeSpec(kind=bridge.kind, beta=endpoints.row(token),
+                              q=bridge.q, sigma=bridge.sigma)
 
 
 def running_cost(cfg, mapnet: MapNet, trace: HiddenTrace, spec: bridges.BridgeSpec,
@@ -313,11 +314,11 @@ def _knot_stack(pairs, endpoints: EndpointTable):
 
 
 def _stack_costs(cfg, mapnet: MapNet, knots: Tensor, betas, draws) -> Tensor:
-    """running_cost of each slice of a knot stack, toward its row of betas:
-    a vector with each slice's bytes. draws is the sde noise, the draws of
-    B samples in turn, or one draw that every slice shares."""
-    # kind, q and sigma only: each slice's beta is its row of betas
-    spec = bridges.BridgeSpec(kind=cfg.bridge_kind, q=cfg.q, sigma=cfg.sigma)
+    """running_cost of each slice of a knot stack toward mapnet's bridge
+    with the slice's row of betas: a vector with each slice's bytes. draws
+    is the sde noise, the draws of B samples in turn, or one draw that
+    every slice shares."""
+    spec = mapnet.bridge
     return _method_cost(cfg, lambda: _goodness_pdf(mapnet, knots, betas, spec),
                         lambda: _goodness_sde(mapnet, knots, betas, spec, cfg.sde_steps, draws))
 
@@ -327,7 +328,8 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
     """Train gamma by Adam to maximize goodness_pdf or minimize the SDE KL.
 
     samples/holdout: (tokens, target, mask_position) triples. Returns
-    (MapNet, history) where history rows are (step, train_loss, holdout_goodness).
+    (MapNet, history) where history rows are (step, train_loss, holdout_goodness);
+    the map carries cfg's bridge (MapNet.bridge).
 
     A sample's trace is collected when a batch first draws it, so a short fit
     runs no forward for samples it never draws; every sample is checked
@@ -350,6 +352,7 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
     sde = cfg.method == "sde"
     mapnet = new_mapnet(2 * state.config.hidden_dim + sde, cfg.hidden_dims, cfg.latent_dim,
                         rng, time_augmented=sde)
+    mapnet.bridge = bridges.BridgeSpec(kind=cfg.bridge_kind, q=cfg.q, sigma=cfg.sigma)
     drawn = {}  # sample index -> (knot matrix, target)
     held = _knot_stack(_knots(state, holdout), endpoints) if holdout else None
     params = mapnet.trainables()
@@ -386,13 +389,13 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
     return mapnet, history
 
 
-def save_mapnet(path, mapnet: MapNet, method: str, endpoints: EndpointTable,
-                bridge_kind: str = bridges.BROWNIAN, q: float = 1.0,
-                sigma: float = 1.0) -> None:
+def save_mapnet(path, mapnet: MapNet, method: str, endpoints: EndpointTable) -> None:
+    """The map, its bridge's kind, q and sigma, and the endpoint table."""
+    bridge = mapnet.bridge
     header = {
         "kind": "mapnet", "method": method, "dims": list(mapnet.dims),
         "time_augmented": mapnet.time_augmented, "eta": endpoints.eta,
-        "r": endpoints.r, "bridge_kind": bridge_kind, "q": q, "sigma": sigma,
+        "r": endpoints.r, "bridge_kind": bridge.kind, "q": bridge.q, "sigma": bridge.sigma,
     }
     tensors = {"endpoints.beta": endpoints.beta}
     for i, (w, b) in enumerate(zip(mapnet.weights, mapnet.biases)):
@@ -404,16 +407,19 @@ def save_mapnet(path, mapnet: MapNet, method: str, endpoints: EndpointTable,
 def load_mapnet(path):
     """Returns (MapNet, EndpointTable, header); the map's tensors are
     frozen (requires_grad False), as load_backbone's are. The header's
-    bridge_kind, q and sigma are checked as check_bridge checks a config's."""
+    bridge_kind, q and sigma, checked as FitMapConfig checks its own, are
+    the map's bridge."""
     header, tensors = load_kind(path, "mapnet")
     dims = tuple(header_value(path, header, "dims", lambda v: isinstance(v, list) and (
         len(v) >= 2 and all(type(d) is int and d >= 1 for d in v))))
     time_augmented = header_value(path, header, "time_augmented",
                                   lambda v: isinstance(v, bool))
     eta = header_value(path, header, "eta", lambda v: type(v) in (int, float))
-    header_value(path, header, "bridge_kind", lambda v: v in (bridges.BROWNIAN, bridges.OU))
-    for key in ("q", "sigma"):
-        header_value(path, header, key, lambda v: type(v) in (int, float) and 0 < v < math.inf)
+    kind = header_value(path, header, "bridge_kind",
+                        lambda v: v in (bridges.BROWNIAN, bridges.OU))
+    q, sigma = (header_value(path, header, key,
+                             lambda v: type(v) in (int, float) and 0 < v < math.inf)
+                for key in ("q", "sigma"))
     r = header_value(path, header, "r", lambda v: v == dims[-1] and type(v) is int)
     n_layers = len(dims) - 1
     shapes = {"endpoints.beta": (None, r)}
@@ -423,5 +429,6 @@ def load_mapnet(path):
     check_records(path, tensors, shapes)
     weights = [Tensor(tensors[f"map.w{i}"]) for i in range(n_layers)]
     biases = [Tensor(tensors[f"map.b{i}"]) for i in range(n_layers)]
-    mapnet = MapNet(weights=weights, biases=biases, dims=dims, time_augmented=time_augmented)
+    mapnet = MapNet(weights=weights, biases=biases, dims=dims, time_augmented=time_augmented,
+                    bridge=bridges.BridgeSpec(kind=kind, q=q, sigma=sigma))
     return mapnet, EndpointTable(beta=tensors["endpoints.beta"], eta=eta, r=r), header

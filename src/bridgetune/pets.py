@@ -83,9 +83,6 @@ class PetParams:
     def trainables(self):
         return list(self.tensors.values())
 
-    def param_count(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
-
     def clone_tensors(self) -> dict:
         return {k: t.data.copy() for k, t in self.tensors.items()}
 

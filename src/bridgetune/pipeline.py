@@ -16,10 +16,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import bridges
 from .autodiff import Tensor
 from .backbone import BackboneState, check_counts, check_finite, forward, mask_logits, traces
-from .latent_map import bridge_spec, check_bridge, running_cost
+from .latent_map import bridge_spec, running_cost
 from .pets import PetConfig, build_pet, save_pet
 from .snapshot import (SnapshotFormatError, check_records, header_value, load_kind,
                        save_snapshot)
@@ -29,9 +28,6 @@ from .tasks import DataError
 class TrainConfig:
     alpha: float = 0.0
     method: str = "none"
-    bridge_kind: str = bridges.BROWNIAN
-    q: float = 1.0
-    sigma: float = 1.0
     learning_rate: float = 5e-3
     batch_size: int = 2
     max_steps: int = 1000
@@ -47,21 +43,21 @@ class TrainConfig:
         check_finite(self, 0, "alpha", strict=False)
         check_finite(self, 0, "learning_rate")
         check_counts(self, batch_size=1, max_steps=1, eval_every=1, sde_steps=4)
-        check_bridge(self)
 
 
 def total_loss(logits: Tensor, label_word: int, trace, mapnet, endpoints,
                cfg: TrainConfig, rng=None):
-    """Terminal cross-entropy plus alpha times the bridge running cost
-    (latent_map.running_cost). Returns (loss tensor, terminal value, running
-    value). alpha == 0 skips the regularizer and consumes no randomness.
+    """Terminal cross-entropy plus alpha times the running cost toward
+    mapnet's bridge (latent_map.running_cost). Returns (loss tensor,
+    terminal value, running value). alpha == 0 skips the regularizer and
+    consumes no randomness.
     """
     ce = ad.cross_entropy_with_logits(logits, label_word)
     if cfg.method == "none" or cfg.alpha == 0.0:
         return ce, ce.item(), 0.0
     if mapnet is None:
         raise ValueError(f"method {cfg.method!r} needs a fitted map")
-    running = running_cost(cfg, mapnet, trace, bridge_spec(cfg, endpoints, label_word), rng)
+    running = running_cost(cfg, mapnet, trace, bridge_spec(mapnet, endpoints, label_word), rng)
     loss = ad.add(ce, ad.scalar_mul(running, cfg.alpha))
     return loss, ce.item(), running.item()
 
@@ -229,7 +225,8 @@ def run_training(out_dir, state: BackboneState, pet_cfg: PetConfig, mapnet,
                  endpoints, train_set, dev_set, cfg: TrainConfig,
                  probe_set=None):
     """One run directory: config.json, metrics.csv, best checkpoint, and
-    probe traces for later analysis."""
+    probe traces for later analysis. Given a map, config.json records its
+    bridge's kind, q and sigma under "bridge"."""
     pet, history, summary = train_pet(state, pet_cfg, mapnet, endpoints,
                                       train_set, dev_set, cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -239,6 +236,9 @@ def run_training(out_dir, state: BackboneState, pet_cfg: PetConfig, mapnet,
         "model": asdict(state.config),
         "summary": summary,
     }
+    if mapnet is not None:
+        bridge = mapnet.bridge
+        record["bridge"] = {"kind": bridge.kind, "q": bridge.q, "sigma": bridge.sigma}
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
         json.dump(record, f, indent=2, sort_keys=True)
     write_csv(os.path.join(out_dir, "metrics.csv"),

@@ -133,6 +133,14 @@ def test_pearson_exact_linear():
     assert r2 == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("x, y", [
+    ([math.nan, 1, 2], [1, 2, 3]), ([1, 2, 3], [1, math.inf, 3]),
+    ([1, 2, 3, 4], [1, 2, 3, math.nan]), ([1, 2, -math.inf], [1, 2, 3])], ids=["leading-nan", "inf", "trailing-nan", "minus-inf"])
+def test_pearson_refuses_a_non_finite_input(x, y):
+    with pytest.raises(StatisticsError, match="non-finite"):
+        pearson(x, y)
+
+
 def test_pearson_hand_example():
     # r = 0.8 by direct evaluation; with df = 2 the t-transform gives
     # t^2 = 32/9 and P(|T| > t) = 1 - t/sqrt(2 + t^2) = 0.2 exactly.

@@ -8,7 +8,7 @@ from bridgetune.backbone import (MASK_ID, PACK_COLUMNS, ModelConfig,
                                  PretrainConfig, bias_names, checksum, embed,
                                  forward, freeze, init_backbone, load_backbone,
                                  mask_logits, masked_accuracy, mlm_samples,
-                                 param_count, pretrain_mlm, save_backbone, traces)
+                                 pretrain_mlm, save_backbone, traces)
 from bridgetune.pets import PET_KINDS, PetConfig, PromptLengthError, build_pet
 from bridgetune.tasks import make_pretrain_corpus
 
@@ -25,7 +25,8 @@ def test_param_count_default_config():
     state = init_backbone(cfg, np.random.default_rng(0))
     d, dff, L, V, S = 32, 256, 4, 64, 32
     per_layer = 4 * d * d + 4 * d + 2 * d * dff + dff + d + 4 * d
-    assert param_count(state) == V * d + S * d + L * per_layer == 87168
+    assert sum(t.data.size for t in state.tensors.values()) \
+        == V * d + S * d + L * per_layer == 87168
 
 
 def test_config_validates_head_divisibility():

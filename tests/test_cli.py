@@ -8,10 +8,12 @@ import json
 import math
 import shutil
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bridgetune.bridges import BridgeSpec
 from bridgetune.cli import cli
 from bridgetune.latent_map import load_mapnet, save_mapnet
 from bridgetune.pets import PetConfig, build_pet, save_pet
@@ -183,12 +185,13 @@ def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
      "sigma must be a finite number above 0, got nan"),
     (["fit-map", "--method", "pdf", "--bridge", "ou"], {"fitmap": {"q": -1}},
      "q must be a finite number above 0, got -1"),
+    # the map carries the bridge, so a train section has no bridge fields
     (["train-pet", "--pet", "lora"], {"train": {"bridge_kind": "gauss"}},
-     "bridge_kind must be brownian or ou, got 'gauss'"),
+     "section 'train' has unknown key 'bridge_kind'"),
     (["train-pet", "--pet", "lora"], {"train": {"q": -1.0}},
-     "q must be a finite number above 0, got -1.0"),
+     "section 'train' has unknown key 'q'"),
     (["train-pet", "--pet", "lora"], {"train": {"sigma": "abc"}},
-     "sigma must be a finite number above 0, got 'abc'"),
+     "section 'train' has unknown key 'sigma'"),
 ], ids=["pretrain-batch-size", "model-num-heads", "pretrain-seq-len-over-model",
         "fitmap-max-steps", "fitmap-batch-size", "task-per-class", "task-per-class-string",
         "task-mix", "pretrain-learning-rate", "fitmap-learning-rate", "fitmap-sde-steps",
@@ -210,6 +213,33 @@ def test_config_value_out_of_range_exits_2_writing_nothing(world_dir, tmp_path, 
     out = tmp_path / "out"
     assert cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["pretrain"], [1, 2], "a config is a JSON object of sections"),
+    (["make-task"], [1, 2], "a config is a JSON object of sections"),
+    (["make-task"], {"task": [1]}, "section 'task' is not a JSON object"),
+    (["pretrain"], {"model": 5}, "section 'model' is not a JSON object"),
+    (["pretrain"], {"pretrain": {"learning_rte": 1e-9}},
+     "section 'pretrain' has unknown key 'learning_rte'"),
+    (["make-task"], {"task": {"per_clas": 4}}, "section 'task' has unknown key 'per_clas'"),
+    (["fit-map", "--method", "pdf"], {"fitmap": {"steps": 4}},
+     "section 'fitmap' has unknown key 'steps'"),
+], ids=["pretrain-list", "make-task-list", "task-list", "model-number",
+        "pretrain-misspelled-key", "task-misspelled-key", "fitmap-flag-name-as-key"])
+def test_malformed_config_file_exits_2_naming_it_and_writing_nothing(
+        world_dir, tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    if argv[0] == "pretrain":
+        argv = argv + ["--steps", "2", "--corpus-size", "4"]
+    if argv[0] == "fit-map":
+        argv = argv + ["--backbone", str(world_dir / "backbone.bin"),
+                       "--corpus", str(world_dir / "corpus.json")]
+    out = tmp_path / "out"
+    assert cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -421,22 +451,22 @@ def test_train_pet_config_bridge_contradicting_map_exits_2(world_dir, cli_run,
     rc = cli(_train_args(world_dir, cli_run["data"], out, "--method", "pdf",
                          "--alpha", "0.1", "--map", str(world_dir / "map-pdf.bin"),
                          "--config", str(cfg)))
-    assert rc == 2
-    assert "contradicts the bridge" in capsys.readouterr().err
+    assert rc == 2  # the map carries the bridge: a train section has no bridge fields
+    assert f"{cfg}: section 'train' has unknown key 'bridge_kind'" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_train_pet_takes_bridge_from_map(world, world_dir, cli_run, tmp_path):
     ou_map = tmp_path / "map-ou.bin"
-    save_mapnet(ou_map, world.pdf_map, "pdf", world.endpoints,
-                bridge_kind="ou", q=1.5, sigma=0.9)
+    save_mapnet(ou_map, replace(world.pdf_map, bridge=BridgeSpec(kind="ou", q=1.5, sigma=0.9)),
+                "pdf", world.endpoints)
     args = _train_args(world_dir, cli_run["data"], tmp_path / "run",
                        "--method", "pdf", "--alpha", "0.1", "--map", str(ou_map))
     assert cli(args + ["--bridge", "brownian"]) == 1  # the map decides
     assert cli(args) == 0
     record = json.loads((tmp_path / "run" / "config.json").read_text())
-    assert record["train"]["bridge_kind"] == "ou"
-    assert record["train"]["q"] == 1.5 and record["train"]["sigma"] == 0.9
+    assert record["bridge"] == {"kind": "ou", "q": 1.5, "sigma": 0.9}
+    assert "bridge_kind" not in record["train"]
 
 
 @pytest.mark.parametrize("extra, at_step", [
@@ -634,6 +664,7 @@ def test_analyze_single_run_not_computable(cli_run, tmp_path, capsys):
 @pytest.mark.parametrize("broken, message", [
     ("probe-is-a-backbone", "probe.bin: not a 'probe' snapshot (header kind 'backbone')"),
     ("config-without-alpha", "config.json: train.alpha missing or not a number"),
+    ("config-alpha-nan", "config.json: train.alpha missing or not a number"),
     ("probe-without-rows", "probe.bin: probe records of shapes [(0, 32)], "
                            "not one shape with at least one row"),
     ("label-outside-the-map", "probe.bin: token 99 outside the endpoint table of 64 tokens"),
@@ -650,6 +681,8 @@ def test_analyze_malformed_run_exits_2_writing_nothing(world_dir, cli_run, tmp_p
         shutil.copy(world_dir / "backbone.bin", run / "probe.bin")
     elif broken == "config-without-alpha":
         (run / "config.json").write_text("{}")
+    elif broken == "config-alpha-nan":  # json writes and reads NaN
+        (run / "config.json").write_text(json.dumps({"train": {"alpha": math.nan}}))
     elif broken != "sde-map":
         label, rows, width = {"probe-without-rows": (1, 0, 32),
                               "label-outside-the-map": (99, 5, 32),

@@ -24,6 +24,8 @@ from bridgetune.latent_map import (FitMapConfig, RankDeficientError,
 from bridgetune.pipeline import TrainConfig
 from bridgetune.snapshot import SnapshotFormatError
 
+OU_BRIDGE = {"bridge_kind": bridges.OU, "q": 1.5, "sigma": 0.9}
+
 # ------------------------------------------------------------- endpoint table
 
 
@@ -345,13 +347,14 @@ def test_running_cost_is_negated_pdf_goodness_or_sde_kl(cfg_cls, kind):
     rng = np.random.default_rng(12)
     trace = _tiny_trace(rng)
     endpoints = build_endpoints(rng.normal(size=(6, 5)), r=2, eta=1.0)
-    pdf_cfg = cfg_cls(method="pdf", bridge_kind=kind, q=0.7, sigma=1.3)
-    sde_cfg = cfg_cls(method="sde", bridge_kind=kind, q=0.7, sigma=1.3, sde_steps=6)
-    spec = bridge_spec(pdf_cfg, endpoints, 4)
+    pdf_cfg = cfg_cls(method="pdf")
+    sde_cfg = cfg_cls(method="sde", sde_steps=6)
+    net = _tiny_mapnet(rng)
+    net.bridge = bridges.BridgeSpec(kind=kind, q=0.7, sigma=1.3)
+    spec = bridge_spec(net, endpoints, 4)
     assert (spec.kind, spec.q, spec.sigma, spec.horizon) == (kind, 0.7, 1.3, 1.0)
     assert np.array_equal(spec.beta, endpoints.row(4))
 
-    net = _tiny_mapnet(rng)
     got = running_cost(pdf_cfg, net, trace, spec, None).item()
     assert got == -goodness_pdf(net, trace, spec).item()
 
@@ -367,6 +370,19 @@ def test_running_cost_is_negated_pdf_goodness_or_sde_kl(cfg_cls, kind):
 def test_fit_map_config_validation():
     with pytest.raises(ValueError, match="method"):
         FitMapConfig(method="mle")
+    with pytest.raises(ValueError, match="bridge_kind must be brownian or ou, got 'gauss'"):
+        FitMapConfig(bridge_kind="gauss")
+    for key in ("q", "sigma"):
+        for bad in (0, -1.0, math.nan, math.inf, "1", True):
+            with pytest.raises(ValueError, match=f"{key} must be a finite number above 0"):
+                FitMapConfig(**{key: bad})
+
+
+def test_fit_map_gives_the_map_its_bridge(world):
+    cfg = FitMapConfig(method="pdf", bridge_kind=bridges.OU, q=1.5, sigma=0.9, max_steps=0)
+    net, _ = fit_map(world.state, world.fit_samples[:8], cfg, world.endpoints)
+    assert (net.bridge.kind, net.bridge.q, net.bridge.sigma) == (bridges.OU, 1.5, 0.9)
+    assert net.frozen().bridge is net.bridge
 
 
 def test_fit_map_zero_steps_returns_init(world):
@@ -401,7 +417,7 @@ def test_fit_map_improves_heldout_goodness_5_of_5(world, method, steps, batch):
         h0 = 0.0
         for trace, target in held:
             h0 -= running_cost(fitted, untrained, trace,
-                               bridge_spec(fitted, world.endpoints, target),
+                               bridge_spec(untrained, world.endpoints, target),
                                np.random.default_rng(seed)).item()
         if hN[-1][2] > h0 / len(held):
             wins += 1
@@ -436,6 +452,7 @@ def _fit_map_collecting_up_front(state, samples, cfg, endpoints, holdout=None):
     rng = np.random.default_rng(cfg.seed)
     net = new_mapnet(2 * state.config.hidden_dim + (cfg.method == "sde"), cfg.hidden_dims,
                      cfg.latent_dim, rng, time_augmented=cfg.method == "sde")
+    net.bridge = bridges.BridgeSpec(kind=cfg.bridge_kind, q=cfg.q, sigma=cfg.sigma)
     traces = collect_traces(state, samples)
     held = collect_traces(state, holdout) if holdout else []
     adam = ad.AdamState(net.trainables(), cfg.learning_rate)
@@ -443,28 +460,30 @@ def _fit_map_collecting_up_front(state, samples, cfg, endpoints, holdout=None):
     history = []
     for step in range(1, cfg.max_steps + 1):
         idx = rng.integers(0, len(traces), size=cfg.batch_size)
-        losses = [running_cost(cfg, net, trace, bridge_spec(cfg, endpoints, target), rng)
+        losses = [running_cost(cfg, net, trace, bridge_spec(net, endpoints, target), rng)
                   for trace, target in (traces[j] for j in idx)]
         adam.learning_rate = cfg.learning_rate * min(1.0, step / warmup)
         loss = ad.train_step(net.trainables(), losses, adam, cfg.grad_clip)
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
             score = math.nan
             if held:
-                score = -sum(running_cost(cfg, net, trace, bridge_spec(cfg, endpoints, target),
+                score = -sum(running_cost(cfg, net, trace, bridge_spec(net, endpoints, target),
                                           np.random.default_rng(cfg.seed)).item()
                              for trace, target in held) / len(held)
             history.append((step, loss, score))
     return net, history
 
 
-@pytest.mark.parametrize("method,steps,batch,holdout", [
-    ("pdf", 12, 8, 6), ("pdf", 9, 4, 0), ("sde", 8, 6, 4), ("sde", 6, 4, 0), ("pdf", 2, 3, 3)],
-    ids=["pdf-holdout", "pdf", "sde-holdout", "sde", "pdf-short"])
-def test_fit_map_equals_collecting_every_trace_up_front(world, method, steps, batch, holdout):
+@pytest.mark.parametrize("method,steps,batch,holdout,bridge", [
+    ("pdf", 12, 8, 6, {}), ("pdf", 9, 4, 0, {}), ("sde", 8, 6, 4, {}), ("sde", 6, 4, 0, {}),
+    ("pdf", 2, 3, 3, {}), ("pdf", 6, 4, 3, OU_BRIDGE), ("sde", 6, 4, 3, OU_BRIDGE)],
+    ids=["pdf-holdout", "pdf", "sde-holdout", "sde", "pdf-short", "pdf-ou", "sde-ou"])
+def test_fit_map_equals_collecting_every_trace_up_front(world, method, steps, batch, holdout,
+                                                        bridge):
     samples = world.fit_samples[:40]  # the short case draws 6 of them at most
     hold = world.fit_samples[160:160 + holdout] or None
     cfg = FitMapConfig(method=method, max_steps=steps, batch_size=batch, eval_every=3,
-                       hidden_dims=(16, 8), seed=7)
+                       hidden_dims=(16, 8), seed=7, **bridge)
     net, history = fit_map(world.state, iter(samples), cfg, world.endpoints, holdout=hold)
     ref, ref_history = _fit_map_collecting_up_front(world.state, samples, cfg,
                                                     world.endpoints, holdout=hold)
@@ -528,12 +547,13 @@ def test_fit_map_rejects_a_holdout_target_outside_the_endpoint_table(world, targ
 
 def test_mapnet_save_load_round_trip(world, tmp_path):
     path = tmp_path / "map.bin"
-    save_mapnet(path, world.pdf_map, "pdf", world.endpoints,
-                bridge_kind=bridges.OU, q=1.5, sigma=0.9)
+    save_mapnet(path, replace(world.pdf_map, bridge=bridges.BridgeSpec(
+        kind=bridges.OU, q=1.5, sigma=0.9)), "pdf", world.endpoints)
     net, endpoints, header = load_mapnet(path)
     assert header["method"] == "pdf"
     assert header["bridge_kind"] == bridges.OU
     assert header["q"] == 1.5 and header["sigma"] == 0.9
+    assert (net.bridge.kind, net.bridge.q, net.bridge.sigma) == (bridges.OU, 1.5, 0.9)
     assert tuple(header["dims"]) == world.pdf_map.dims
     assert endpoints.eta == world.endpoints.eta
     assert endpoints.r == world.endpoints.r

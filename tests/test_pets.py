@@ -5,7 +5,7 @@ import pytest
 
 import bridgetune.autodiff as ad
 from bridgetune.backbone import (MASK_ID, ModelConfig, checksum, forward,
-                                 freeze, init_backbone, param_count)
+                                 freeze, init_backbone)
 from bridgetune.pets import (PET_KINDS, AdapterParams, BitfitParams,
                              LoraParams, PetConfig, PromptLengthError,
                              PromptParams, adapter_forward, attach_prompt,
@@ -34,14 +34,15 @@ def _pet(kind, state, seed=1, **kw):
 def test_default_parameter_budgets():
     cfg = ModelConfig()
     state = freeze(init_backbone(cfg, np.random.default_rng(0)))
-    counts = {kind: _pet(kind, state).param_count() for kind in PET_KINDS}
+    counts = {kind: sum(t.data.size for t in _pet(kind, state).tensors.values())
+              for kind in PET_KINDS}
     assert counts == {"prompt": 8 * 32,
                       "lora": 4 * 2 * (4 * 32 + 32 * 4),
                       "bitfit": 4 * (4 * 32 + 256 + 32 + 2 * 32),
                       "adapter": 4 * 2 * (8 * 32 + 32 * 8)}
     assert counts == {"prompt": 256, "lora": 2048, "bitfit": 1920,
                       "adapter": 4096}
-    backbone = param_count(state)
+    backbone = sum(t.data.size for t in state.tensors.values())
     assert backbone == 87168
     for kind, c in counts.items():
         assert c < 0.05 * backbone
