@@ -409,9 +409,9 @@ def gelu(a: Tensor, *, product_cube: bool = False) -> Tensor:
     """The tanh approximation of GELU. Its cube is x ** 3, or x * x * x
     with product_cube: numpy's power takes a slow path on negative bases,
     and the product differs in the last bits. Only packed inference, which
-    is read through an argmax, takes the product; this keyword goes once the
-    training paths take it too (ROADMAP item 5a). Both forms share one
-    gradient rule."""
+    is read through an argmax, takes the product; ROADMAP item 5a has a
+    cheap cube that keeps x ** 3's bits for the other paths. Both forms
+    share one gradient rule."""
     x = a.data
     inner = _GELU_C * (x + 0.044715 * (x * x * x if product_cube else x ** 3))
     t = np.tanh(inner)
@@ -598,6 +598,7 @@ def backward(root: Tensor) -> dict:
 # ---------------------------------------------------------------- optimizer
 
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
+CLIP_NORM = 1.0  # the global gradient norm that train_step clips to
 
 
 class AdamState:
@@ -650,9 +651,9 @@ def clip_gradients(params, grads, max_norm: float):
     return norm
 
 
-def train_step(params, losses, adam: AdamState, max_norm: float) -> float:
+def train_step(params, losses, adam: AdamState) -> float:
     """One optimizer step on the mean of the losses: backward, clip the
-    global gradient norm to max_norm, then Adam. Returns the mean loss.
+    global gradient norm to CLIP_NORM, then Adam. Returns the mean loss.
 
     losses is a list of scalar losses, one graph per sample, or the vector
     of a stacked graph's per-sample losses. Either way the mean is
@@ -672,7 +673,7 @@ def train_step(params, losses, adam: AdamState, max_norm: float) -> float:
             loss = add(loss, extra)
         loss = scalar_mul(loss, 1.0 / len(losses))
     grads = backward(loss)
-    norm = clip_gradients(params, grads, max_norm)
+    norm = clip_gradients(params, grads, CLIP_NORM)
     value = loss.item()
     if not (math.isfinite(value) and math.isfinite(norm)):
         raise NonFiniteError(f"non-finite training step {adam.step_count + 1}: "

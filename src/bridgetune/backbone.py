@@ -131,12 +131,12 @@ def _param_specs(config: ModelConfig) -> dict:
     return specs
 
 
-def init_backbone(config: ModelConfig, rng: np.random.Generator,
-                  requires_grad: bool = True) -> BackboneState:
+def init_backbone(config: ModelConfig, rng: np.random.Generator) -> BackboneState:
+    """Freshly drawn weights, every one taking a gradient (freeze clears that)."""
     tensors = {}
     for name, (shape, fill) in _param_specs(config).items():
         data = rng.normal(0.0, 0.02, size=shape) if fill is None else np.full(shape, fill)
-        tensors[name] = Tensor(data, requires_grad=requires_grad)
+        tensors[name] = Tensor(data, requires_grad=True)
     return BackboneState(config=config, tensors=tensors)
 
 
@@ -175,15 +175,10 @@ def check_input(config: ModelConfig, tokens, mask_position=None) -> list:
     return tokens
 
 
-def embed(state: BackboneState, tokens, mask_position=None) -> Tensor:
-    """Token embedding plus positional embedding, as a d x N matrix, of
-    input that check_input accepts."""
-    return _embed(state, check_input(state.config, tokens, mask_position))
-
-
 def _embed(state: BackboneState, ids) -> Tensor:
-    """embed of checked token ids: one sequence, or a B x N array of B
-    sequences of one length, whose B x d x N stack of states it returns."""
+    """Token embedding plus positional embedding of checked token ids: the
+    d x N states of one sequence, or the B x d x N stack of a B x N array of
+    B sequences of one length."""
     tok = ad.gather_rows(state["embed"], ids)
     pos = ad.gather_rows(state["pos"], np.broadcast_to(np.arange(np.shape(ids)[-1]),
                                                        np.shape(ids)))
@@ -416,10 +411,9 @@ class PretrainConfig:
     batch_size: int = 8
     max_steps: int = 2500
     seed: int = 0
-    grad_clip: float = 1.0
 
     def __post_init__(self):
-        check_counts(self, batch_size=1, max_steps=0)
+        check_counts(self, batch_size=1, max_steps=0, seed=0)
         check_finite(self, 0, "learning_rate")
 
 
@@ -460,7 +454,7 @@ def pretrain_mlm(config: ModelConfig, corpus, hyper: PretrainConfig) -> Backbone
     if not corpus:
         raise ValueError("corpus is empty")
     rng = np.random.default_rng(hyper.seed)
-    state = init_backbone(config, rng, requires_grad=True)
+    state = init_backbone(config, rng)
     params = list(state.tensors.values())
     adam = ad.AdamState(params, hyper.learning_rate)
     corpus = list(corpus)
@@ -468,7 +462,7 @@ def pretrain_mlm(config: ModelConfig, corpus, hyper: PretrainConfig) -> Backbone
         idx = rng.integers(0, len(corpus), size=hyper.batch_size)
         with np.errstate(all="ignore"):  # a non-finite step raises NonFiniteError
             losses = _mlm_losses(state, mlm_samples([corpus[j] for j in idx], rng))
-            ad.train_step(params, losses, adam, hyper.grad_clip)
+            ad.train_step(params, losses, adam)
     return state
 
 

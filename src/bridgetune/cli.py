@@ -25,10 +25,10 @@ from .backbone import (ModelConfig, PretrainConfig, check_input, freeze,
 from .latent_map import (FitMapConfig, bridge_spec, build_endpoints, fit_map,
                          load_mapnet, save_mapnet)
 from .pets import PetConfig, build_pet, load_pet
-from .pipeline import (TrainConfig, evaluate, fewshot_split, load_probe,
+from .pipeline import (METRICS, TrainConfig, evaluate, fewshot_split, load_probe,
                        run_training, write_csv)
 from .snapshot import SnapshotFormatError
-from .tasks import (DataError, load_jsonl, make_pretrain_corpus,
+from .tasks import (DataError, _check_task_sizes, load_jsonl, make_pretrain_corpus,
                     make_task_dataset, write_jsonl)
 
 
@@ -43,28 +43,30 @@ class _Parser(argparse.ArgumentParser):
 
 def _section(path, sections: dict, name: str, keys) -> dict:
     """The config file's section name ({} when it has none); a section that
-    is not a JSON object, or a key of it outside keys, is a DataError."""
+    is not a JSON object, a key of it outside keys, or a null value is a
+    DataError."""
     section = sections.get(name, {})
     if not isinstance(section, dict):
         raise DataError(f"{path}: section {name!r} is not a JSON object")
-    for key in section:
+    for key, value in section.items():
         if key not in keys:
             raise DataError(f"{path}: section {name!r} has unknown key {key!r}")
+        if value is None:
+            raise DataError(f"{path}: section {name!r} sets {key!r} to null")
     return section
 
 
 def _dataclass_from(cls, path, sections: dict, name: str, overrides: dict):
-    """Defaults, then the config file's section name, then explicit CLI
-    overrides; a key of the section that is not a field of cls, or a value
-    the dataclass rejects with ValueError, is a DataError."""
+    """Defaults, then the config file's section name, then the CLI
+    overrides that are not None (a flag not given); a key of the section
+    that is not a field of cls, or a value the dataclass rejects with
+    ValueError, is a DataError. The section's values are checked as the
+    file gives them too, so an override does not hide a bad one."""
     section = _section(path, sections, name, {f.name for f in fields(cls)})
-    values = {}
-    for src in (section, overrides):
-        for key, val in src.items():
-            if val is not None:
-                values[key] = val
+    given = {key: val for key, val in overrides.items() if val is not None}
     try:
-        return cls(**values)
+        cls(**{**given, **section})
+        return cls(**{**section, **given})
     except ValueError as e:
         raise DataError(f"bad {cls.__name__} value: {e}") from e
 
@@ -130,6 +132,16 @@ def _load_dataset(path, state, pet_cfg: PetConfig):
     return samples
 
 
+def _check_map_width(map_path, mapnet, width: int, source) -> None:
+    """DataError unless the map read from map_path takes the traces of
+    source, whose hidden width is width: the map's input is twice that
+    wide, plus the time channel of an sde map."""
+    if mapnet.dims[0] != 2 * width + mapnet.time_augmented:
+        fitted = (mapnet.dims[0] - mapnet.time_augmented) / 2
+        raise DataError(f"{source}: hidden width {width} does not fit {map_path}, whose input "
+                        f"width is {mapnet.dims[0]} (fitted on hidden width {fitted:g})")
+
+
 def _load_config(path):
     """The config file's sections: a JSON object, {} without a file."""
     if path is None:
@@ -185,15 +197,14 @@ def _build_parser():
     p.add_argument("--batch-size", type=_int_at_least(1), default=None)
     p.add_argument("--lr", type=_positive_float, default=None)
     p.add_argument("--eval-every", type=_int_at_least(1), default=None)
-    p.add_argument("--metric", choices=["accuracy", "f1", "matthews"], default=None)
+    p.add_argument("--metric", choices=METRICS, default=None)
 
     p = sub.add_parser("eval", parents=[common],
                        help="evaluate a PET checkpoint on a dataset")
     p.add_argument("--backbone", required=True)
     p.add_argument("--pet", required=True, help="PET snapshot path")
     p.add_argument("--data", required=True)
-    p.add_argument("--metric", choices=["accuracy", "f1", "matthews"],
-                   default="accuracy")
+    p.add_argument("--metric", choices=METRICS, default="accuracy")
 
     p = sub.add_parser("fewshot", parents=[common],
                        help="build k-shot train/dev splits over several seeds")
@@ -279,7 +290,10 @@ def _cmd_fit_map(args):
     if cfg.max_steps < 1:
         raise DataError(f"fitmap max_steps must be at least 1, got {cfg.max_steps}")
     eta = args.eta if args.eta is not None else 1.0
-    endpoints = build_endpoints(state["embed"].data, cfg.latent_dim, eta)
+    try:
+        endpoints = build_endpoints(state["embed"].data, cfg.latent_dim, eta)
+    except ValueError as e:  # a latent_dim the backbone cannot take, or an eta that overflows
+        raise DataError(f"endpoint table of {args.backbone}: {e}") from e
     rng = np.random.default_rng(args.seed)
     samples = mlm_samples(corpus, rng)
     mapnet, history = fit_map(state, samples, cfg, endpoints)
@@ -303,6 +317,7 @@ def _cmd_train_pet(args):
     mapnet = endpoints = header = None
     if args.map is not None:
         mapnet, endpoints, header = load_mapnet(args.map)
+        _check_map_width(args.map, mapnet, state.config.hidden_dim, args.backbone)
     cfg = _dataclass_from(TrainConfig, args.config, cfg_file, "train", overrides)
     pet_cfg = _dataclass_from(PetConfig, args.config, cfg_file, "pet", {"kind": args.pet})
     try:
@@ -391,9 +406,8 @@ def _cmd_analyze(args):
             raise DataError(f"{cfg_path}: train.alpha missing or not a number")
         probe_path = os.path.join(run, "probe.bin")
         labels, samples = load_probe(probe_path)
-        if mapnet is not None and samples and 2 * samples[0][0].shape[1] != mapnet.dims[0]:
-            raise DataError(f"{probe_path}: hidden width {samples[0][0].shape[1]} does not "
-                            f"fit {args.map}, whose input width is {mapnet.dims[0]}")
+        if mapnet is not None and samples:
+            _check_map_width(args.map, mapnet, samples[0][0].shape[1], probe_path)
         by_label = {}
         dists = []
         for label, (h_out, h_ctx) in zip(labels, samples):
@@ -431,14 +445,13 @@ def _cmd_analyze(args):
 def _cmd_make_task(args):
     section = _section(args.config, _load_config(args.config), "task",
                        ("per_class", "seq_len", "mix"))
-
-    def resolve(flag, key, fallback):
-        return flag if flag is not None else section.get(key, fallback)
-
-    rng = np.random.default_rng(args.seed)
-    samples = make_task_dataset(resolve(args.per_class, "per_class", 80),
-                                resolve(args.seq_len, "seq_len", 12),
-                                resolve(args.mix, "mix", 0.35), rng)
+    values = {"per_class": 80, "seq_len": 12, "mix": 0.35, **section}
+    # the file's values are checked even where a flag replaces them
+    _check_task_sizes(values["per_class"], values["seq_len"], values["mix"])
+    flags = {"per_class": args.per_class, "seq_len": args.seq_len, "mix": args.mix}
+    values.update((key, flag) for key, flag in flags.items() if flag is not None)
+    samples = make_task_dataset(values["per_class"], values["seq_len"], values["mix"],
+                                np.random.default_rng(args.seed))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "task.jsonl")
     write_jsonl(path, samples)

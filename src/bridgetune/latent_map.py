@@ -48,12 +48,13 @@ def build_endpoints(V_embed: np.ndarray, r: int, eta: float = 1.0) -> EndpointTa
 
     Sign convention for determinism: each principal direction's
     largest-magnitude component is made positive. Zero rows map to a fixed
-    unit direction scaled by eta.
+    unit direction scaled by eta. An eta so large that a row overflows is
+    a ValueError.
     """
     V_embed = np.asarray(V_embed, dtype=np.float64)
     n, d = V_embed.shape
     if not (r < d and n > r):
-        raise ValueError(f"need r < d and |V| > r, got r={r}, d={d}, |V|={n}")
+        raise ValueError(f"need latent dimension r < d and |V| > r, got r={r}, d={d}, |V|={n}")
     centered = V_embed - V_embed.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -73,8 +74,11 @@ def build_endpoints(V_embed: np.ndarray, r: int, eta: float = 1.0) -> EndpointTa
     beta = np.empty_like(proj)
     fixed = np.zeros(r)
     fixed[0] = 1.0
-    for i in range(n):
-        beta[i] = fixed * eta if norms[i] == 0.0 else proj[i] * (eta / norms[i])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        for i in range(n):
+            beta[i] = fixed * eta if norms[i] == 0.0 else proj[i] * (eta / norms[i])
+    if not np.isfinite(beta).all():
+        raise ValueError(f"eta {eta!r} overflows the endpoint rows")
     return EndpointTable(beta=beta, eta=float(eta), r=r)
 
 
@@ -233,19 +237,20 @@ def _goodness_sde(mapnet, knots: Tensor, betas, spec: bridges.BridgeSpec, n_step
     return ad.scalar_mul(kl, 0.5 * dt / sig ** 2)
 
 
+MAP_HIDDEN_DIMS = (64, 32)  # the widths of fit_map's two hidden map layers
+WARMUP_RATIO = 0.01  # the share of fit_map's steps that warm its learning rate up
+
+
 @dataclass(frozen=True)
 class FitMapConfig:
     method: str = "pdf"
     bridge_kind: str = bridges.BROWNIAN
     q: float = 1.0
     sigma: float = 1.0
-    hidden_dims: tuple = (64, 32)
     latent_dim: int = 8
     learning_rate: float = 1e-3
     batch_size: int = 16
     max_steps: int = 400
-    grad_clip: float = 1.0
-    warmup_ratio: float = 0.01
     sde_steps: int = 8
     eval_every: int = 100
     seed: int = 0
@@ -254,7 +259,7 @@ class FitMapConfig:
         if self.method not in ("pdf", "sde"):
             raise ValueError(f"method must be pdf or sde, got {self.method!r}")
         check_counts(self, latent_dim=1, batch_size=1, max_steps=0, eval_every=1,
-                     sde_steps=4)
+                     sde_steps=4, seed=0)
         check_finite(self, 0, "learning_rate")
         if self.bridge_kind not in (bridges.BROWNIAN, bridges.OU):
             raise ValueError(f"bridge_kind must be {bridges.BROWNIAN} or {bridges.OU}, "
@@ -350,14 +355,14 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
         endpoints.row(target)
     rng = np.random.default_rng(cfg.seed)
     sde = cfg.method == "sde"
-    mapnet = new_mapnet(2 * state.config.hidden_dim + sde, cfg.hidden_dims, cfg.latent_dim,
+    mapnet = new_mapnet(2 * state.config.hidden_dim + sde, MAP_HIDDEN_DIMS, cfg.latent_dim,
                         rng, time_augmented=sde)
     mapnet.bridge = bridges.BridgeSpec(kind=cfg.bridge_kind, q=cfg.q, sigma=cfg.sigma)
     drawn = {}  # sample index -> (knot matrix, target)
     held = _knot_stack(_knots(state, holdout), endpoints) if holdout else None
     params = mapnet.trainables()
     adam = ad.AdamState(params, cfg.learning_rate)
-    warmup_steps = max(1, int(cfg.warmup_ratio * cfg.max_steps))
+    warmup_steps = max(1, int(WARMUP_RATIO * cfg.max_steps))
     history = []
 
     def holdout_goodness():
@@ -383,7 +388,7 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
                 if sde else None
             costs = _stack_costs(cfg, mapnet, knots, betas, draws)
             adam.learning_rate = cfg.learning_rate * min(1.0, step / warmup_steps)
-            loss = ad.train_step(params, costs, adam, cfg.grad_clip)
+            loss = ad.train_step(params, costs, adam)
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
             history.append((step, loss, holdout_goodness()))
     return mapnet, history

@@ -24,6 +24,9 @@ from .snapshot import (SnapshotFormatError, check_records, header_value, load_ki
                        save_snapshot)
 from .tasks import DataError
 
+METRICS = ("accuracy", "f1", "matthews")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     alpha: float = 0.0
@@ -33,16 +36,17 @@ class TrainConfig:
     max_steps: int = 1000
     eval_every: int = 50
     seed: int = 0
-    grad_clip: float = 1.0
     sde_steps: int = 8
     metric: str = "accuracy"
 
     def __post_init__(self):
         if self.method not in ("none", "pdf", "sde"):
             raise ValueError(f"method must be none, pdf or sde, got {self.method!r}")
+        if self.metric not in METRICS:
+            raise ValueError(f"metric must be accuracy, f1 or matthews, got {self.metric!r}")
         check_finite(self, 0, "alpha", strict=False)
         check_finite(self, 0, "learning_rate")
-        check_counts(self, batch_size=1, max_steps=1, eval_every=1, sde_steps=4)
+        check_counts(self, batch_size=1, max_steps=1, eval_every=1, sde_steps=4, seed=0)
 
 
 def total_loss(logits: Tensor, label_word: int, trace, mapnet, endpoints,
@@ -153,7 +157,7 @@ def train_pet(state: BackboneState, pet_cfg: PetConfig, mapnet, endpoints,
                 losses.append(loss_j)
                 ce_sum += ce_j
                 run_sum += run_j
-            win_loss += ad.train_step(params, losses, adam, cfg.grad_clip)
+            win_loss += ad.train_step(params, losses, adam)
         win_ce += ce_sum / len(losses)
         win_run += run_sum / len(losses)
         win_n += 1
@@ -222,11 +226,10 @@ def load_probe(path):
 
 
 def run_training(out_dir, state: BackboneState, pet_cfg: PetConfig, mapnet,
-                 endpoints, train_set, dev_set, cfg: TrainConfig,
-                 probe_set=None):
-    """One run directory: config.json, metrics.csv, best checkpoint, and
-    probe traces for later analysis. Given a map, config.json records its
-    bridge's kind, q and sigma under "bridge"."""
+                 endpoints, train_set, dev_set, cfg: TrainConfig):
+    """One run directory: config.json, metrics.csv, best checkpoint, and the
+    dev set's probe traces for later analysis. Given a map, config.json
+    records its bridge's kind, q and sigma under "bridge"."""
     pet, history, summary = train_pet(state, pet_cfg, mapnet, endpoints,
                                       train_set, dev_set, cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -245,8 +248,7 @@ def run_training(out_dir, state: BackboneState, pet_cfg: PetConfig, mapnet,
               ("step", "train_loss", "terminal_loss", "running_cost", "dev_metric"),
               history)
     save_pet(os.path.join(out_dir, "pet.bin"), pet)
-    probe = probe_set if probe_set is not None else dev_set
-    dump_probe_traces(os.path.join(out_dir, "probe.bin"), state, pet, probe,
+    dump_probe_traces(os.path.join(out_dir, "probe.bin"), state, pet, dev_set,
                       {"alpha": cfg.alpha, "method": cfg.method,
                        "pet_kind": pet_cfg.kind})
     return pet, history, summary

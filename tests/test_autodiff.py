@@ -400,8 +400,9 @@ def test_backward_deterministic(rng):
 
 # ---------------------------------------------------------------- train_step
 
-def _step_problem(seed):
-    """Two trainable matrices and a frozen input; three per-sample losses."""
+def _step_problem(seed, scale=1.0):
+    """Two trainable matrices and a frozen input; three per-sample losses,
+    each times scale."""
     rng = np.random.default_rng(seed)
     w = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     b = ad.Tensor(rng.standard_normal((3, 1)), requires_grad=True)
@@ -409,16 +410,16 @@ def _step_problem(seed):
 
     def losses():
         h = ad.gelu(ad.add(ad.matmul(w, x), b))
-        return [ad.cross_entropy_with_logits(ad.slice_rows(ad.transpose(h), j, j + 1), j)
-                for j in range(3)]
+        return [ad.scalar_mul(ad.cross_entropy_with_logits(
+            ad.slice_rows(ad.transpose(h), j, j + 1), j), scale) for j in range(3)]
 
     return [w, b], losses
 
 
-@pytest.mark.parametrize("max_norm", [1e-3, 1e3], ids=["clipped", "unclipped"])
-def test_train_step_matches_hand_written_sequence(max_norm):
-    hand_params, hand_losses = _step_problem(3)
-    step_params, step_losses = _step_problem(3)
+@pytest.mark.parametrize("scale", [1e3, 1e-3], ids=["clipped", "unclipped"])
+def test_train_step_matches_hand_written_sequence(scale):
+    hand_params, hand_losses = _step_problem(3, scale)
+    step_params, step_losses = _step_problem(3, scale)
     hand_adam = ad.AdamState(hand_params, 0.05)
     step_adam = ad.AdamState(step_params, 0.05)
     for _ in range(4):
@@ -428,9 +429,10 @@ def test_train_step_matches_hand_written_sequence(max_norm):
             loss = ad.add(loss, extra)
         loss = ad.scalar_mul(loss, 1.0 / len(losses))
         grads = ad.backward(loss)
-        ad.clip_gradients(hand_params, grads, max_norm)
+        norm = ad.clip_gradients(hand_params, grads, ad.CLIP_NORM)
+        assert (norm > ad.CLIP_NORM) == (scale > 1.0)  # the case its id names
         ad.adam_step(hand_params, grads, hand_adam)
-        assert ad.train_step(step_params, step_losses(), step_adam, max_norm) == loss.item()
+        assert ad.train_step(step_params, step_losses(), step_adam) == loss.item()
     assert step_adam.step_count == hand_adam.step_count == 4
     for p, q in zip(hand_params, step_params):
         assert p.data.tobytes() == q.data.tobytes()
@@ -450,11 +452,11 @@ def test_train_step_non_finite_raises_leaving_state_unchanged(scale, value):
                   requires_grad=True)
     adam = ad.AdamState([x], 0.1)
     with np.errstate(all="ignore"):  # as the training loops run train_step
-        ad.train_step([x], [ad.tensor_sum(ad.scalar_mul(x, 1.0))], adam, 1.0)
+        ad.train_step([x], [ad.tensor_sum(ad.scalar_mul(x, 1.0))], adam)
         before = x.data.tobytes()
         moments = (adam.first_moment[x].tobytes(), adam.second_moment[x].tobytes())
         with pytest.raises(ad.NonFiniteError, match=f"step 2: .*{value}"):
-            ad.train_step([x], [ad.tensor_sum(ad.scalar_mul(x, scale))], adam, 1.0)
+            ad.train_step([x], [ad.tensor_sum(ad.scalar_mul(x, scale))], adam)
     assert x.data.tobytes() == before
     assert adam.step_count == 1
     assert (adam.first_moment[x].tobytes(),

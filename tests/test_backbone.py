@@ -5,7 +5,7 @@ import pytest
 
 import bridgetune.autodiff as ad
 from bridgetune.backbone import (MASK_ID, PACK_COLUMNS, ModelConfig,
-                                 PretrainConfig, bias_names, checksum, embed,
+                                 PretrainConfig, bias_names, check_input, checksum,
                                  forward, freeze, init_backbone, load_backbone,
                                  mask_logits, masked_accuracy, mlm_samples,
                                  pretrain_mlm, save_backbone, traces)
@@ -34,19 +34,14 @@ def test_config_validates_head_divisibility():
         ModelConfig(hidden_dim=10, num_heads=4)
 
 
-def test_embed_shape_and_validation(tiny):
+def test_check_input_refuses_what_forward_cannot_embed(tiny):
     cfg, state = tiny
-    h = embed(state, [1, 2, 3])
-    assert h.data.shape == (8, 3)
-    # column j is token embedding + position embedding, transposed
-    expect = state["embed"].data[2] + state["pos"].data[1]
-    assert np.allclose(h.data[:, 1], expect)
-    with pytest.raises(ValueError):
-        embed(state, [1, 16])
-    with pytest.raises(ValueError):
-        embed(state, [-1])
-    with pytest.raises(ValueError):
-        embed(state, list(range(11)))
+    assert check_input(cfg, (1, 2, 3)) == [1, 2, 3]
+    for tokens in ([1, 16], [-1], list(range(11))):
+        with pytest.raises(ValueError):
+            check_input(cfg, tokens)
+        with pytest.raises(ValueError):
+            forward(state, tokens, 0)
 
 
 def test_forward_shapes_and_trace(tiny):
@@ -72,9 +67,10 @@ def test_trace_layer0_is_embedding(tiny):
     _, state = tiny
     tokens = [5, MASK_ID, 7]
     logits, trace = forward(state, tokens, 1)
-    h = embed(state, tokens)
-    assert np.allclose(trace.h_out[0].data[:, 0], h.data[:, 1])
-    assert np.allclose(trace.h_ctx[0].data[:, 0], h.data.mean(axis=1))
+    # column j is token embedding + position embedding, transposed
+    h = (state["embed"].data[tokens] + state["pos"].data[:len(tokens)]).T
+    assert np.allclose(trace.h_out[0].data[:, 0], h[:, 1])
+    assert np.allclose(trace.h_ctx[0].data[:, 0], h.mean(axis=1))
 
 
 def test_zero_weights_make_layers_identity(tiny):
@@ -150,7 +146,7 @@ def _pretrain_one_graph_per_sample(config, corpus, hyper):
     """Reference: pretrain_mlm with one forward graph per sample and the
     scalar losses summed in batch order."""
     rng = np.random.default_rng(hyper.seed)
-    state = init_backbone(config, rng, requires_grad=True)
+    state = init_backbone(config, rng)
     params = list(state.tensors.values())
     adam = ad.AdamState(params, hyper.learning_rate)
     for _ in range(hyper.max_steps):
@@ -158,7 +154,7 @@ def _pretrain_one_graph_per_sample(config, corpus, hyper):
         with np.errstate(all="ignore"):
             losses = [ad.cross_entropy_with_logits(forward(state, masked, pos)[0], target)
                       for masked, target, pos in mlm_samples([corpus[j] for j in idx], rng)]
-            ad.train_step(params, losses, adam, hyper.grad_clip)
+            ad.train_step(params, losses, adam)
     return state
 
 
@@ -193,11 +189,11 @@ def test_stacked_pretraining_step_stops_on_a_non_finite_loss(monkeypatch):
     seen = []
     train_step = ad.train_step
 
-    def poisoning_step(params, losses, adam, max_norm):
+    def poisoning_step(params, losses, adam):
         seen.append((params, [p.data.copy() for p in params]))
         if len(seen) == 3:
             losses.data[1] = np.nan
-        return train_step(params, losses, adam, max_norm)
+        return train_step(params, losses, adam)
 
     monkeypatch.setattr(ad, "train_step", poisoning_step)
     with pytest.raises(ad.NonFiniteError, match="step 3: loss nan"):

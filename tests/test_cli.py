@@ -8,16 +8,17 @@ import json
 import math
 import shutil
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from bridgetune.backbone import ModelConfig, PretrainConfig, init_backbone, save_backbone
 from bridgetune.bridges import BridgeSpec
 from bridgetune.cli import cli
-from bridgetune.latent_map import load_mapnet, save_mapnet
+from bridgetune.latent_map import FitMapConfig, load_mapnet, save_mapnet
 from bridgetune.pets import PetConfig, build_pet, save_pet
-from bridgetune.pipeline import evaluate, predict
+from bridgetune.pipeline import TrainConfig, evaluate, predict
 from bridgetune.snapshot import save_snapshot
 from bridgetune.tasks import load_jsonl, write_jsonl
 
@@ -192,13 +193,21 @@ def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
      "section 'train' has unknown key 'q'"),
     (["train-pet", "--pet", "lora"], {"train": {"sigma": "abc"}},
      "section 'train' has unknown key 'sigma'"),
+    # an endpoint table the 32-wide, 64-token backbone cannot take
+    (["fit-map", "--method", "pdf"], {"fitmap": {"latent_dim": 32}},
+     "need latent dimension r < d and |V| > r, got r=32, d=32, |V|=64"),
+    (["fit-map", "--method", "pdf", "--latent-dim", "40"], {},
+     "need latent dimension r < d and |V| > r, got r=40, d=32, |V|=64"),
+    (["fit-map", "--method", "pdf", "--eta", "1e308"], {},
+     "endpoint table of {backbone}: eta 1e+308 overflows the endpoint rows"),
 ], ids=["pretrain-batch-size", "model-num-heads", "pretrain-seq-len-over-model",
         "fitmap-max-steps", "fitmap-batch-size", "task-per-class", "task-per-class-string",
         "task-mix", "pretrain-learning-rate", "fitmap-learning-rate", "fitmap-sde-steps",
         "train-learning-rate", "train-alpha", "train-sde-steps", "pet-prompt-len-float",
         "pet-prompt-len-bool", "pet-r-lora-over-hidden-dim", "fitmap-bridge-kind",
         "fitmap-q-string", "fitmap-sigma-nan", "fitmap-ou-q-negative", "train-bridge-kind",
-        "train-q-negative", "train-sigma-string"])
+        "train-q-negative", "train-sigma-string", "fitmap-latent-dim-32",
+        "fit-map-latent-dim-40", "fit-map-eta-1e308"])
 def test_config_value_out_of_range_exits_2_writing_nothing(world_dir, tmp_path, capsys,
                                                            argv, section, message):
     cfg = tmp_path / "cfg.json"
@@ -211,8 +220,11 @@ def test_config_value_out_of_range_exits_2_writing_nothing(world_dir, tmp_path, 
                        "--train", str(world_dir / "task.jsonl"),
                        "--dev", str(world_dir / "task.jsonl")]
     out = tmp_path / "out"
-    assert cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert message.format(backbone=world_dir / "backbone.bin") in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 
@@ -240,6 +252,64 @@ def test_malformed_config_file_exits_2_naming_it_and_writing_nothing(
     out = tmp_path / "out"
     assert cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
     assert f"error: {cfg}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Each config section: a command that reads it, with every flag that sets one
+# of its keys given, and the section's keys with their types.
+CONFIG_SECTIONS = {
+    "model": (["pretrain", "--steps", "2", "--corpus-size", "4"], ModelConfig),
+    "pretrain": (["pretrain", "--steps", "2", "--corpus-size", "4"], PretrainConfig),
+    "fitmap": (["fit-map", "--method", "pdf", "--bridge", "brownian", "--steps", "1",
+                "--latent-dim", "8"], FitMapConfig),
+    "train": (["train-pet", "--pet", "lora", "--alpha", "0", "--method", "none", "--steps", "1",
+               "--batch-size", "1", "--lr", "0.1", "--eval-every", "1", "--metric", "f1"],
+              TrainConfig),
+    "pet": (["train-pet", "--pet", "lora"], PetConfig),
+    "task": (["make-task", "--per-class", "2", "--seq-len", "3", "--mix", "0.1"],
+             {"per_class": "int", "seq_len": "int", "mix": "float"}),
+}
+REMOVED_KEYS = [("pretrain", "grad_clip"), ("fitmap", "grad_clip"), ("fitmap", "warmup_ratio"),
+                ("fitmap", "hidden_dims"), ("train", "grad_clip")]
+
+
+def _config_key_cases():
+    for section, (_, keys) in CONFIG_SECTIONS.items():
+        if not isinstance(keys, dict):
+            keys = {f.name: f.type for f in fields(keys)}
+        for key, kind in keys.items():
+            yield pytest.param(section, key, None, id=f"{section}-{key}-null")
+            yield pytest.param(section, key, 1 if kind == "str" else "1",
+                               id=f"{section}-{key}-wrong-type")
+    for section, key in REMOVED_KEYS:
+        yield pytest.param(section, key, -1, id=f"{section}-{key}-removed")
+
+
+@pytest.mark.parametrize("section, key, value", _config_key_cases())
+def test_every_config_key_refuses_null_and_wrong_types_writing_nothing(
+        world_dir, tmp_path, capsys, section, key, value):
+    """Every value a config file gives is checked, also where a flag sets
+    the same key: a null, a value of the wrong JSON type, or a key that was
+    removed exits 2 before anything is written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    argv = CONFIG_SECTIONS[section][0]
+    if argv[0] == "fit-map":
+        argv = argv + ["--backbone", str(world_dir / "backbone.bin"),
+                       "--corpus", str(world_dir / "corpus.json")]
+    if argv[0] == "train-pet":
+        argv = argv + ["--backbone", str(world_dir / "backbone.bin"),
+                       "--train", str(world_dir / "task.jsonl"),
+                       "--dev", str(world_dir / "task.jsonl")]
+    out = tmp_path / "out"
+    assert cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    if value is None:
+        assert f"error: {cfg}: section {section!r} sets {key!r} to null" in err
+    elif value == -1:
+        assert f"error: {cfg}: section {section!r} has unknown key {key!r}" in err
+    else:
+        assert err.startswith("error: ") and key in err
     assert not out.exists()
 
 
@@ -440,6 +510,21 @@ def test_train_pet_map_of_other_method_exits_2(world_dir, cli_run, tmp_path,
                          "--alpha", "0.1", "--map", str(world_dir / "map-sde.bin")))
     assert rc == 2
     assert "fitted for method 'sde', not 'pdf'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["pdf", "sde"])
+def test_train_pet_map_of_other_width_exits_2(world_dir, cli_run, tmp_path, capsys, method):
+    narrow = tmp_path / "backbone-16.bin"
+    save_backbone(narrow, init_backbone(ModelConfig(hidden_dim=16), np.random.default_rng(0)))
+    out = tmp_path / "run"
+    args = _train_args(world_dir, cli_run["data"], out, "--method", method, "--alpha", "0.1",
+                       "--map", str(world_dir / f"map-{method}.bin"))
+    args[args.index("--backbone") + 1] = str(narrow)
+    assert cli(args) == 2
+    assert (f"error: {narrow}: hidden width 16 does not fit {world_dir / f'map-{method}.bin'}, "
+            f"whose input width is {64 + (method == 'sde')} (fitted on hidden width 32)"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

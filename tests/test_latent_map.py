@@ -16,8 +16,8 @@ import bridgetune.autodiff as ad
 from bridgetune import bridges, latent_map
 from bridgetune.autodiff import Tensor
 from bridgetune.backbone import HiddenTrace, checksum
-from bridgetune.latent_map import (FitMapConfig, RankDeficientError,
-                                   _spline_feature_weights, bridge_spec,
+from bridgetune.latent_map import (MAP_HIDDEN_DIMS, WARMUP_RATIO, FitMapConfig,
+                                   RankDeficientError, _spline_feature_weights, bridge_spec,
                                    build_endpoints, collect_traces, fit_map, goodness_pdf,
                                    goodness_sde, latent_times, load_mapnet,
                                    new_mapnet, running_cost, save_mapnet)
@@ -389,7 +389,7 @@ def test_fit_map_zero_steps_returns_init(world):
     cfg = FitMapConfig(method="pdf", max_steps=0, seed=0)
     net, history = fit_map(world.state, world.fit_samples[:8], cfg,
                            world.endpoints)
-    fresh = new_mapnet(2 * world.config.hidden_dim, cfg.hidden_dims,
+    fresh = new_mapnet(2 * world.config.hidden_dim, MAP_HIDDEN_DIMS,
                        cfg.latent_dim, np.random.default_rng(0),
                        time_augmented=False)
     assert history == []
@@ -450,20 +450,20 @@ def test_fit_map_history_without_holdout_is_nan(world):
 def _fit_map_collecting_up_front(state, samples, cfg, endpoints, holdout=None):
     """Reference: fit_map with every sample's trace collected before step 1."""
     rng = np.random.default_rng(cfg.seed)
-    net = new_mapnet(2 * state.config.hidden_dim + (cfg.method == "sde"), cfg.hidden_dims,
+    net = new_mapnet(2 * state.config.hidden_dim + (cfg.method == "sde"), MAP_HIDDEN_DIMS,
                      cfg.latent_dim, rng, time_augmented=cfg.method == "sde")
     net.bridge = bridges.BridgeSpec(kind=cfg.bridge_kind, q=cfg.q, sigma=cfg.sigma)
     traces = collect_traces(state, samples)
     held = collect_traces(state, holdout) if holdout else []
     adam = ad.AdamState(net.trainables(), cfg.learning_rate)
-    warmup = max(1, int(cfg.warmup_ratio * cfg.max_steps))
+    warmup = max(1, int(WARMUP_RATIO * cfg.max_steps))
     history = []
     for step in range(1, cfg.max_steps + 1):
         idx = rng.integers(0, len(traces), size=cfg.batch_size)
         losses = [running_cost(cfg, net, trace, bridge_spec(net, endpoints, target), rng)
                   for trace, target in (traces[j] for j in idx)]
         adam.learning_rate = cfg.learning_rate * min(1.0, step / warmup)
-        loss = ad.train_step(net.trainables(), losses, adam, cfg.grad_clip)
+        loss = ad.train_step(net.trainables(), losses, adam)
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
             score = math.nan
             if held:
@@ -483,7 +483,7 @@ def test_fit_map_equals_collecting_every_trace_up_front(world, method, steps, ba
     samples = world.fit_samples[:40]  # the short case draws 6 of them at most
     hold = world.fit_samples[160:160 + holdout] or None
     cfg = FitMapConfig(method=method, max_steps=steps, batch_size=batch, eval_every=3,
-                       hidden_dims=(16, 8), seed=7, **bridge)
+                       seed=7, **bridge)
     net, history = fit_map(world.state, iter(samples), cfg, world.endpoints, holdout=hold)
     ref, ref_history = _fit_map_collecting_up_front(world.state, samples, cfg,
                                                     world.endpoints, holdout=hold)

@@ -496,8 +496,7 @@ def test_run_training_artifacts(world, tmp_path):
     pet_cfg = PetConfig(kind="lora")
     pet, history, summary = run_training(out, world.state, pet_cfg,
                                          world.pdf_map, world.endpoints,
-                                         train, dev, cfg,
-                                         probe_set=dev[:6])
+                                         train, dev, cfg)
     for name in ("config.json", "metrics.csv", "pet.bin", "probe.bin"):
         assert os.path.exists(out / name), name
     with open(out / "config.json", "r", encoding="utf-8") as f:
@@ -516,13 +515,13 @@ def test_run_training_artifacts(world, tmp_path):
     assert header["kind"] == "probe"
     assert header["alpha"] == 0.1 and header["method"] == "pdf"
     assert header["pet_kind"] == "lora"
-    assert len(header["labels"]) == 6
+    assert header["labels"] == [s.label_word for s in dev]  # the probe set is dev
     L = world.config.num_layers
     d = world.config.hidden_dim
     assert tensors["s0.h_out"].shape == (L + 1, d)
     assert tensors["s0.h_ctx"].shape == (L + 1, d)
     labels, samples = pipeline.load_probe(out / "probe.bin")
-    assert labels == header["labels"] and len(samples) == 6
+    assert labels == header["labels"] and len(samples) == len(dev)
     for i, (h_out, h_ctx) in enumerate(samples):
         assert np.array_equal(h_out, tensors[f"s{i}.h_out"])
         assert np.array_equal(h_ctx, tensors[f"s{i}.h_ctx"])
