@@ -28,7 +28,7 @@ from .pets import PetConfig, build_pet, load_pet
 from .pipeline import (METRICS, TrainConfig, evaluate, fewshot_split, load_probe,
                        run_training, write_csv)
 from .snapshot import SnapshotFormatError
-from .tasks import (DataError, _check_task_sizes, load_jsonl, make_pretrain_corpus,
+from .tasks import (DataError, TaskConfig, load_jsonl, make_pretrain_corpus,
                     make_task_dataset, write_jsonl)
 
 
@@ -41,34 +41,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _section(path, sections: dict, name: str, keys) -> dict:
-    """The config file's section name ({} when it has none); a section that
-    is not a JSON object, a key of it outside keys, or a null value is a
-    DataError."""
+def _dataclass_from(cls, path, sections: dict, name: str, overrides: dict, **fixed):
+    """Defaults, then the config file's section name, then the overrides
+    that are not None (a flag not given), then fixed (flags that always set
+    their field, which the section may not). A bad section, key or value is
+    a DataError naming the file and the section; the section's values are
+    checked as the file gives them too, so an override does not hide one."""
     section = sections.get(name, {})
     if not isinstance(section, dict):
         raise DataError(f"{path}: section {name!r} is not a JSON object")
+    keys = {f.name for f in fields(cls)}
     for key, value in section.items():
+        if key in fixed:
+            raise DataError(f"{path}: section {name!r} sets {key!r}, which a flag always sets")
         if key not in keys:
             raise DataError(f"{path}: section {name!r} has unknown key {key!r}")
         if value is None:
             raise DataError(f"{path}: section {name!r} sets {key!r} to null")
-    return section
-
-
-def _dataclass_from(cls, path, sections: dict, name: str, overrides: dict):
-    """Defaults, then the config file's section name, then the CLI
-    overrides that are not None (a flag not given); a key of the section
-    that is not a field of cls, or a value the dataclass rejects with
-    ValueError, is a DataError. The section's values are checked as the
-    file gives them too, so an override does not hide a bad one."""
-    section = _section(path, sections, name, {f.name for f in fields(cls)})
     given = {key: val for key, val in overrides.items() if val is not None}
     try:
-        cls(**{**given, **section})
-        return cls(**{**section, **given})
+        cls(**{**given, **section}, **fixed)
+        return cls(**{**section, **given}, **fixed)
     except ValueError as e:
-        raise DataError(f"bad {cls.__name__} value: {e}") from e
+        raise DataError(f"{path}: section {name!r}: {e}") from e
 
 
 def _int_at_least(low):
@@ -143,7 +138,8 @@ def _check_map_width(map_path, mapnet, width: int, source) -> None:
 
 
 def _load_config(path):
-    """The config file's sections: a JSON object, {} without a file."""
+    """The config file's sections, {} without a file. Every command allows
+    every known section, so that one file can serve them all."""
     if path is None:
         return {}
     try:
@@ -153,26 +149,29 @@ def _load_config(path):
         raise DataError(f"cannot read config {path}: {e}") from e
     if not isinstance(sections, dict):
         raise DataError(f"{path}: a config is a JSON object of sections")
+    for name in sections:
+        if name not in ("model", "pretrain", "fitmap", "train", "pet", "task"):
+            raise DataError(f"{path}: unknown section {name!r}")
     return sections
 
 
 def _build_parser():
     parser = _Parser(prog="bridgetune",
                      description="Stochastic-bridge regularizers for PET training")
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="JSON config file with section overrides")
-    common.add_argument("--seed", type=_int_at_least(0), default=0)
-    common.add_argument("--out", default=".", help="output directory")
+    config, seed, out = (_Parser(add_help=False) for _ in range(3))
+    config.add_argument("--config", help="JSON config file with section overrides")
+    seed.add_argument("--seed", type=_int_at_least(0), default=0)
+    out.add_argument("--out", default=".", help="output directory")
 
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("pretrain", parents=[common],
+    p = sub.add_parser("pretrain", parents=[config, seed, out],
                        help="build and pretrain the frozen backbone")
     p.add_argument("--steps", type=_int_at_least(1), default=2500)
     p.add_argument("--corpus-size", type=_int_at_least(1), default=300)
     p.add_argument("--seq-len", type=_int_at_least(1), default=12)
 
-    p = sub.add_parser("fit-map", parents=[common],
+    p = sub.add_parser("fit-map", parents=[config, seed, out],
                        help="fit the latent mapping on a frozen backbone")
     p.add_argument("--backbone", required=True)
     p.add_argument("--corpus", required=True, help="corpus JSON from pretrain")
@@ -180,16 +179,16 @@ def _build_parser():
     p.add_argument("--bridge", choices=[bridges.BROWNIAN, bridges.OU], default=None,
                    help="bridge kind (default: the config's, else brownian)")
     p.add_argument("--steps", type=_int_at_least(1), default=None)
-    p.add_argument("--eta", type=_positive_float, default=None)
+    p.add_argument("--eta", type=_positive_float, default=1.0)
     p.add_argument("--latent-dim", type=_int_at_least(1), default=None)
 
-    p = sub.add_parser("train-pet", parents=[common],
+    p = sub.add_parser("train-pet", parents=[config, seed, out],
                        help="train one PET with an optional bridge regularizer")
     p.add_argument("--backbone", required=True)
     p.add_argument("--map", help="map snapshot (required unless method none)")
     p.add_argument("--pet", choices=["prompt", "lora", "bitfit", "adapter"],
                    required=True)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=_float_in(0.0, math.inf), default=None)
     p.add_argument("--method", choices=["none", "pdf", "sde"], default=None)
     p.add_argument("--train", required=True, help="training JSONL")
     p.add_argument("--dev", required=True, help="dev JSONL")
@@ -199,20 +198,19 @@ def _build_parser():
     p.add_argument("--eval-every", type=_int_at_least(1), default=None)
     p.add_argument("--metric", choices=METRICS, default=None)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate a PET checkpoint on a dataset")
+    p = sub.add_parser("eval", help="evaluate a PET checkpoint on a dataset")
     p.add_argument("--backbone", required=True)
     p.add_argument("--pet", required=True, help="PET snapshot path")
     p.add_argument("--data", required=True)
     p.add_argument("--metric", choices=METRICS, default="accuracy")
 
-    p = sub.add_parser("fewshot", parents=[common],
+    p = sub.add_parser("fewshot", parents=[seed, out],
                        help="build k-shot train/dev splits over several seeds")
     p.add_argument("--data", required=True)
     p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--seeds", type=_int_at_least(1), default=5)
 
-    p = sub.add_parser("sample-bridge", parents=[common],
+    p = sub.add_parser("sample-bridge", parents=[seed, out],
                        help="sample bridge paths to CSV")
     p.add_argument("--bridge", choices=[bridges.BROWNIAN, bridges.OU],
                    default=bridges.BROWNIAN)
@@ -222,12 +220,12 @@ def _build_parser():
     p.add_argument("--q", type=_positive_float, default=1.0)
     p.add_argument("--sigma", type=_positive_float, default=1.0)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[out],
                        help="centroid/bridge-distance analysis over run dirs")
     p.add_argument("--runs", nargs="+", required=True)
     p.add_argument("--map", help="map snapshot for bridge distances")
 
-    p = sub.add_parser("make-task", parents=[common],
+    p = sub.add_parser("make-task", parents=[config, seed, out],
                        help="generate a synthetic downstream dataset")
     p.add_argument("--per-class", type=_int_at_least(1), default=None,
                    help="examples per class (default 80)")
@@ -248,8 +246,8 @@ def _cmd_pretrain(args):
     rng = np.random.default_rng(args.seed)
     corpus = make_pretrain_corpus(args.corpus_size, args.seq_len, rng)
     holdout = make_pretrain_corpus(60, args.seq_len, rng)
-    pre_cfg = _dataclass_from(PretrainConfig, args.config, cfg_file, "pretrain",
-                              {"max_steps": args.steps, "seed": args.seed})
+    pre_cfg = _dataclass_from(PretrainConfig, args.config, cfg_file, "pretrain", {},
+                              max_steps=args.steps, seed=args.seed)
     state = freeze(pretrain_mlm(model_cfg, corpus, pre_cfg))
     os.makedirs(args.out, exist_ok=True)
     save_backbone(os.path.join(args.out, "backbone.bin"), state)
@@ -283,16 +281,15 @@ def _cmd_fit_map(args):
     cfg_file = _load_config(args.config)
     state = load_backbone(args.backbone)
     corpus = _load_corpus(args.corpus, state)
-    overrides = {"method": args.method, "bridge_kind": args.bridge,
-                 "max_steps": args.steps, "latent_dim": args.latent_dim,
-                 "seed": args.seed}
-    cfg = _dataclass_from(FitMapConfig, args.config, cfg_file, "fitmap", overrides)
+    overrides = {"bridge_kind": args.bridge, "max_steps": args.steps,
+                 "latent_dim": args.latent_dim}
+    cfg = _dataclass_from(FitMapConfig, args.config, cfg_file, "fitmap", overrides,
+                          method=args.method, seed=args.seed)
     if cfg.max_steps < 1:
         raise DataError(f"fitmap max_steps must be at least 1, got {cfg.max_steps}")
-    eta = args.eta if args.eta is not None else 1.0
     try:
-        endpoints = build_endpoints(state["embed"].data, cfg.latent_dim, eta)
-    except ValueError as e:  # a latent_dim the backbone cannot take, or an eta that overflows
+        endpoints = build_endpoints(state["embed"].data, cfg.latent_dim, args.eta)
+    except ValueError as e:  # a latent_dim the backbone cannot take, or an eta it cannot scale to
         raise DataError(f"endpoint table of {args.backbone}: {e}") from e
     rng = np.random.default_rng(args.seed)
     samples = mlm_samples(corpus, rng)
@@ -311,15 +308,14 @@ def _cmd_train_pet(args):
     overrides = {
         "alpha": args.alpha, "method": args.method,
         "learning_rate": args.lr, "batch_size": args.batch_size,
-        "max_steps": args.steps, "eval_every": args.eval_every,
-        "seed": args.seed, "metric": args.metric,
+        "max_steps": args.steps, "eval_every": args.eval_every, "metric": args.metric,
     }
     mapnet = endpoints = header = None
     if args.map is not None:
         mapnet, endpoints, header = load_mapnet(args.map)
         _check_map_width(args.map, mapnet, state.config.hidden_dim, args.backbone)
-    cfg = _dataclass_from(TrainConfig, args.config, cfg_file, "train", overrides)
-    pet_cfg = _dataclass_from(PetConfig, args.config, cfg_file, "pet", {"kind": args.pet})
+    cfg = _dataclass_from(TrainConfig, args.config, cfg_file, "train", overrides, seed=args.seed)
+    pet_cfg = _dataclass_from(PetConfig, args.config, cfg_file, "pet", {}, kind=args.pet)
     try:
         build_pet(pet_cfg, state, np.random.default_rng(0))
     except ValueError as e:  # a PET config this backbone cannot take
@@ -340,7 +336,6 @@ def _cmd_train_pet(args):
 
 
 def _cmd_eval(args):
-    _load_config(args.config)  # validate even though no section applies
     state = load_backbone(args.backbone)
     pet = load_pet(args.pet, state)
     if pet.label_words is None:  # an eval file's own labels could be one class
@@ -353,7 +348,6 @@ def _cmd_eval(args):
 
 
 def _cmd_fewshot(args):
-    _load_config(args.config)
     data = load_jsonl(args.data)
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.seeds):
@@ -368,7 +362,6 @@ def _cmd_fewshot(args):
 
 
 def _cmd_sample_bridge(args):
-    _load_config(args.config)
     spec = bridges.BridgeSpec(kind=args.bridge, beta=np.asarray([args.beta]),
                               horizon=1.0, q=args.q, sigma=args.sigma)
     rng = np.random.default_rng(args.seed)
@@ -386,7 +379,6 @@ def _cmd_sample_bridge(args):
 
 
 def _cmd_analyze(args):
-    _load_config(args.config)
     mapnet = endpoints = None
     if args.map is not None:
         mapnet, endpoints, _ = load_mapnet(args.map)
@@ -443,14 +435,9 @@ def _cmd_analyze(args):
 
 
 def _cmd_make_task(args):
-    section = _section(args.config, _load_config(args.config), "task",
-                       ("per_class", "seq_len", "mix"))
-    values = {"per_class": 80, "seq_len": 12, "mix": 0.35, **section}
-    # the file's values are checked even where a flag replaces them
-    _check_task_sizes(values["per_class"], values["seq_len"], values["mix"])
     flags = {"per_class": args.per_class, "seq_len": args.seq_len, "mix": args.mix}
-    values.update((key, flag) for key, flag in flags.items() if flag is not None)
-    samples = make_task_dataset(values["per_class"], values["seq_len"], values["mix"],
+    cfg = _dataclass_from(TaskConfig, args.config, _load_config(args.config), "task", flags)
+    samples = make_task_dataset(cfg.per_class, cfg.seq_len, cfg.mix,
                                 np.random.default_rng(args.seed))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "task.jsonl")

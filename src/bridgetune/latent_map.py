@@ -48,8 +48,9 @@ def build_endpoints(V_embed: np.ndarray, r: int, eta: float = 1.0) -> EndpointTa
 
     Sign convention for determinism: each principal direction's
     largest-magnitude component is made positive. Zero rows map to a fixed
-    unit direction scaled by eta. An eta so large that a row overflows is
-    a ValueError.
+    unit direction scaled by eta. An eta whose rows overflow or underflow,
+    so that a row's norm computed from its squares is not eta to rounding,
+    is a ValueError.
     """
     V_embed = np.asarray(V_embed, dtype=np.float64)
     n, d = V_embed.shape
@@ -77,8 +78,9 @@ def build_endpoints(V_embed: np.ndarray, r: int, eta: float = 1.0) -> EndpointTa
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         for i in range(n):
             beta[i] = fixed * eta if norms[i] == 0.0 else proj[i] * (eta / norms[i])
-    if not np.isfinite(beta).all():
-        raise ValueError(f"eta {eta!r} overflows the endpoint rows")
+        scaled = (np.abs(np.sqrt((beta * beta).sum(axis=1)) - eta) <= 1e-12 * eta).all()
+    if not scaled:
+        raise ValueError(f"eta {eta!r} overflows the endpoint rows or underflows them")
     return EndpointTable(beta=beta, eta=float(eta), r=r)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import MASK_ID
+from .backbone import MASK_ID, check_counts, check_finite
 
 VOCAB_SIZE = 64
 TOPIC_A = list(range(1, 32))
@@ -61,23 +61,28 @@ def make_pretrain_corpus(n_sequences: int, seq_len: int,
     return corpus
 
 
-def _check_task_sizes(n_per_class, seq_len, mix) -> None:
-    """DataError unless make_task_dataset takes these sizes: two integer
-    counts (not bools) of at least 1, and a mix in [0, 0.5)."""
-    counts = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
-                 for v in (n_per_class, seq_len))
-    if not (counts and isinstance(mix, (int, float)) and 0.0 <= mix < 0.5):
-        raise DataError(f"need n_per_class >= 1, seq_len >= 1 and 0 <= mix < 0.5, "
-                        f"got {n_per_class!r}, {seq_len!r}, {mix!r}")
+@dataclass(frozen=True)
+class TaskConfig:
+    """make_task_dataset's sizes. mix stays below 0.5, so that the label
+    topic stays the majority."""
+    per_class: int = 80
+    seq_len: int = 12
+    mix: float = 0.35
+
+    def __post_init__(self):
+        check_counts(self, per_class=1, seq_len=1)
+        check_finite(self, 0, "mix", strict=False)
+        if not self.mix < 0.5:
+            raise ValueError(f"mix must be below 0.5, got {self.mix!r}")
 
 
 def make_task_dataset(n_per_class: int, seq_len: int, mix: float,
                       rng: np.random.Generator):
     """Majority-topic classification with topic mixing: each position is
     drawn from the minority topic with probability mix, uniformly within
-    the topic. The mask is appended at the end. mix must lie in [0, 0.5),
-    so that the label topic stays the majority."""
-    _check_task_sizes(n_per_class, seq_len, mix)
+    the topic. The mask is appended at the end. The sizes are checked as
+    TaskConfig checks them."""
+    TaskConfig(n_per_class, seq_len, mix)
     samples = []
     for label_word, major, minor in ((ANCHOR_A, TOPIC_A, TOPIC_B),
                                      (ANCHOR_B, TOPIC_B, TOPIC_A)):

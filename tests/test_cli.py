@@ -4,8 +4,11 @@ Everything goes through cli(argv) rather than a subprocess so coverage and
 the session-scoped world fixture are shared.
 """
 
+import argparse
+import inspect
 import json
 import math
+import re
 import shutil
 import warnings
 from dataclasses import fields, replace
@@ -13,6 +16,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from bridgetune import cli as cli_module
 from bridgetune.backbone import ModelConfig, PretrainConfig, init_backbone, save_backbone
 from bridgetune.bridges import BridgeSpec
 from bridgetune.cli import cli
@@ -20,7 +24,7 @@ from bridgetune.latent_map import FitMapConfig, load_mapnet, save_mapnet
 from bridgetune.pets import PetConfig, build_pet, save_pet
 from bridgetune.pipeline import TrainConfig, evaluate, predict
 from bridgetune.snapshot import save_snapshot
-from bridgetune.tasks import load_jsonl, write_jsonl
+from bridgetune.tasks import TaskConfig, load_jsonl, write_jsonl
 
 # ------------------------------------------------------------------ exit codes
 
@@ -77,6 +81,19 @@ def test_bad_config_json_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--config", "c.json"], ["eval", "--seed", "1"], ["eval", "--out", "x"],
+    ["analyze", "--config", "c.json"], ["analyze", "--seed", "1"],
+    ["fewshot", "--config", "c.json"], ["sample-bridge", "--config", "c.json"],
+], ids=["eval-config", "eval-seed", "eval-out", "analyze-config", "analyze-seed",
+        "fewshot-config", "sample-bridge-config"])
+def test_flag_a_subcommand_does_not_read_exits_1(argv, capsys):
+    required = {"eval": ["--backbone", "b", "--pet", "p", "--data", "d"],
+                "analyze": ["--runs", "r"], "fewshot": ["--data", "d", "--k", "1"]}
+    assert cli(argv + required.get(argv[0], [])) == 1
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert cli(["--help"]) == 0
     assert "subcommand" in capsys.readouterr().out.lower() or True
@@ -103,6 +120,8 @@ def test_help_exits_0(capsys):
     ["train-pet", "--lr", "-0.5"],
     ["train-pet", "--lr", "0"],
     ["train-pet", "--lr", "nan"],
+    ["train-pet", "--alpha", "-1"],
+    ["train-pet", "--alpha", "nan"],
     ["fit-map", "--eta", "-1"],
     ["fit-map", "--eta", "0"],
     ["fit-map", "--eta", "inf"],
@@ -120,7 +139,8 @@ def test_help_exits_0(capsys):
         "pretrain-seq-len", "fit-map-steps", "fit-map-latent-dim",
         "make-task-per-class", "make-task-seq-len", "make-task-mix-1.5",
         "make-task-mix-0.5", "make-task-mix-negative", "train-pet-lr-negative",
-        "train-pet-lr-0", "train-pet-lr-nan", "fit-map-eta-negative", "fit-map-eta-0",
+        "train-pet-lr-0", "train-pet-lr-nan", "train-pet-alpha-negative",
+        "train-pet-alpha-nan", "fit-map-eta-negative", "fit-map-eta-0",
         "fit-map-eta-inf", "pretrain-seed-negative", "make-task-seed-negative",
         "sample-bridge-seed-negative", "sample-bridge-ou-q-0",
         "sample-bridge-ou-sigma-negative", "sample-bridge-q-nan", "sample-bridge-beta-nan",
@@ -157,9 +177,9 @@ def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
      "max_steps must be at least 1, got 0"),
     (["fit-map", "--method", "sde"], {"fitmap": {"batch_size": "8"}},
      "batch_size must be an integer, got '8'"),
-    (["make-task"], {"task": {"per_class": 0}}, "need n_per_class >= 1"),
-    (["make-task"], {"task": {"per_class": "4"}}, "need n_per_class >= 1"),
-    (["make-task"], {"task": {"mix": 0.5}}, "0 <= mix < 0.5"),
+    (["make-task"], {"task": {"per_class": 0}}, "per_class must be at least 1, got 0"),
+    (["make-task"], {"task": {"per_class": "4"}}, "per_class must be an integer, got '4'"),
+    (["make-task"], {"task": {"mix": 0.5}}, "mix must be below 0.5, got 0.5"),
     (["pretrain", "--steps", "2", "--corpus-size", "4"], {"pretrain": {"learning_rate": 0}},
      "learning_rate must be a finite number above 0, got 0"),
     (["fit-map", "--method", "pdf"], {"fitmap": {"learning_rate": -1e-3}},
@@ -200,6 +220,13 @@ def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
      "need latent dimension r < d and |V| > r, got r=40, d=32, |V|=64"),
     (["fit-map", "--method", "pdf", "--eta", "1e308"], {},
      "endpoint table of {backbone}: eta 1e+308 overflows the endpoint rows"),
+    # rows whose squares overflow, or which underflow to a few distinct values
+    (["fit-map", "--method", "pdf", "--eta", "1e300"], {},
+     "endpoint table of {backbone}: eta 1e+300 overflows the endpoint rows or underflows them"),
+    (["fit-map", "--method", "pdf", "--eta", "1e-160"], {},
+     "endpoint table of {backbone}: eta 1e-160 overflows the endpoint rows or underflows them"),
+    (["fit-map", "--method", "pdf", "--eta", "5e-324"], {},
+     "endpoint table of {backbone}: eta 5e-324 overflows the endpoint rows or underflows them"),
 ], ids=["pretrain-batch-size", "model-num-heads", "pretrain-seq-len-over-model",
         "fitmap-max-steps", "fitmap-batch-size", "task-per-class", "task-per-class-string",
         "task-mix", "pretrain-learning-rate", "fitmap-learning-rate", "fitmap-sde-steps",
@@ -207,7 +234,8 @@ def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
         "pet-prompt-len-bool", "pet-r-lora-over-hidden-dim", "fitmap-bridge-kind",
         "fitmap-q-string", "fitmap-sigma-nan", "fitmap-ou-q-negative", "train-bridge-kind",
         "train-q-negative", "train-sigma-string", "fitmap-latent-dim-32",
-        "fit-map-latent-dim-40", "fit-map-eta-1e308"])
+        "fit-map-latent-dim-40", "fit-map-eta-1e308", "fit-map-eta-1e300",
+        "fit-map-eta-1e-160", "fit-map-eta-5e-324"])
 def test_config_value_out_of_range_exits_2_writing_nothing(world_dir, tmp_path, capsys,
                                                            argv, section, message):
     cfg = tmp_path / "cfg.json"
@@ -238,8 +266,12 @@ def test_config_value_out_of_range_exits_2_writing_nothing(world_dir, tmp_path, 
     (["make-task"], {"task": {"per_clas": 4}}, "section 'task' has unknown key 'per_clas'"),
     (["fit-map", "--method", "pdf"], {"fitmap": {"steps": 4}},
      "section 'fitmap' has unknown key 'steps'"),
+    (["train-pet", "--pet", "lora", "--method", "none"], {"trian": {"alpha": 5}},
+     "unknown section 'trian'"),
+    (["make-task"], {"task": {}, "tasks": {"mix": 0.1}}, "unknown section 'tasks'"),
 ], ids=["pretrain-list", "make-task-list", "task-list", "model-number",
-        "pretrain-misspelled-key", "task-misspelled-key", "fitmap-flag-name-as-key"])
+        "pretrain-misspelled-key", "task-misspelled-key", "fitmap-flag-name-as-key",
+        "train-pet-misspelled-section", "make-task-misspelled-section"])
 def test_malformed_config_file_exits_2_naming_it_and_writing_nothing(
         world_dir, tmp_path, capsys, argv, config, message):
     cfg = tmp_path / "cfg.json"
@@ -249,14 +281,29 @@ def test_malformed_config_file_exits_2_naming_it_and_writing_nothing(
     if argv[0] == "fit-map":
         argv = argv + ["--backbone", str(world_dir / "backbone.bin"),
                        "--corpus", str(world_dir / "corpus.json")]
+    if argv[0] == "train-pet":
+        argv = argv + ["--backbone", str(world_dir / "backbone.bin"),
+                       "--train", str(world_dir / "task.jsonl"),
+                       "--dev", str(world_dir / "task.jsonl")]
     out = tmp_path / "out"
     assert cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
     assert f"error: {cfg}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
+def test_config_sections_a_command_does_not_read_are_allowed(tmp_path):
+    """One file can serve every command: make-task reads only the task
+    section, and the others it holds are checked by the commands that read
+    them."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": {"per_class": 2}, "train": {"alpha": 5},
+                               "model": {"num_heads": 0}}))
+    assert cli(["make-task", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len(load_jsonl(tmp_path / "task.jsonl")) == 4
+
+
 # Each config section: a command that reads it, with every flag that sets one
-# of its keys given, and the section's keys with their types.
+# of its keys given, and the dataclass whose fields, but FLAG_KEYS, are its keys.
 CONFIG_SECTIONS = {
     "model": (["pretrain", "--steps", "2", "--corpus-size", "4"], ModelConfig),
     "pretrain": (["pretrain", "--steps", "2", "--corpus-size", "4"], PretrainConfig),
@@ -266,20 +313,22 @@ CONFIG_SECTIONS = {
                "--batch-size", "1", "--lr", "0.1", "--eval-every", "1", "--metric", "f1"],
               TrainConfig),
     "pet": (["train-pet", "--pet", "lora"], PetConfig),
-    "task": (["make-task", "--per-class", "2", "--seq-len", "3", "--mix", "0.1"],
-             {"per_class": "int", "seq_len": "int", "mix": "float"}),
+    "task": (["make-task", "--per-class", "2", "--seq-len", "3", "--mix", "0.1"], TaskConfig),
 }
+# The fields that a flag always sets (a default or a required flag), so that
+# no section may set them.
+FLAG_KEYS = {("pretrain", "max_steps"), ("pretrain", "seed"), ("fitmap", "method"),
+             ("fitmap", "seed"), ("train", "seed"), ("pet", "kind")}
 REMOVED_KEYS = [("pretrain", "grad_clip"), ("fitmap", "grad_clip"), ("fitmap", "warmup_ratio"),
                 ("fitmap", "hidden_dims"), ("train", "grad_clip")]
 
 
 def _config_key_cases():
-    for section, (_, keys) in CONFIG_SECTIONS.items():
-        if not isinstance(keys, dict):
-            keys = {f.name: f.type for f in fields(keys)}
-        for key, kind in keys.items():
+    for section, (_, cls) in CONFIG_SECTIONS.items():
+        for field in fields(cls):
+            key = field.name
             yield pytest.param(section, key, None, id=f"{section}-{key}-null")
-            yield pytest.param(section, key, 1 if kind == "str" else "1",
+            yield pytest.param(section, key, 1 if field.type == "str" else "1",
                                id=f"{section}-{key}-wrong-type")
     for section, key in REMOVED_KEYS:
         yield pytest.param(section, key, -1, id=f"{section}-{key}-removed")
@@ -289,8 +338,9 @@ def _config_key_cases():
 def test_every_config_key_refuses_null_and_wrong_types_writing_nothing(
         world_dir, tmp_path, capsys, section, key, value):
     """Every value a config file gives is checked, also where a flag sets
-    the same key: a null, a value of the wrong JSON type, or a key that was
-    removed exits 2 before anything is written."""
+    the same key: a null, a value of the wrong JSON type, a key that was
+    removed, or any value of a key that a flag always sets exits 2 before
+    anything is written, naming the file and the section."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: {key: value}}))
     argv = CONFIG_SECTIONS[section][0]
@@ -304,13 +354,37 @@ def test_every_config_key_refuses_null_and_wrong_types_writing_nothing(
     out = tmp_path / "out"
     assert cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    if value is None:
+    if (section, key) in FLAG_KEYS:
+        assert f"error: {cfg}: section {section!r} sets {key!r}, which a flag always sets" in err
+    elif value is None:
         assert f"error: {cfg}: section {section!r} sets {key!r} to null" in err
     elif value == -1:
         assert f"error: {cfg}: section {section!r} has unknown key {key!r}" in err
     else:
-        assert err.startswith("error: ") and key in err
+        assert err.startswith(f"error: {cfg}: section {section!r}: {key} must be ")
     assert not out.exists()
+
+
+def test_config_key_inventory():
+    """The keys each section takes: its dataclass's fields but those that a
+    flag always sets. A key added or dropped changes this count on purpose."""
+    counts = {section: len([f for f in fields(cls) if (section, f.name) not in FLAG_KEYS])
+              for section, (_, cls) in CONFIG_SECTIONS.items()}
+    assert counts == {"model": 6, "pretrain": 2, "fitmap": 9, "train": 8, "pet": 3, "task": 3}
+
+
+def test_every_subcommand_reads_every_flag_it_takes():
+    """Each subcommand's handler reads args.<dest> for every flag its parser
+    accepts, and no other; the CLI has 57 flags in all."""
+    parser = cli_module._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    total = 0
+    for name, sub in subparsers.choices.items():
+        dests = {a.dest for a in sub._actions if a.dest != "help"}
+        handler = getattr(cli_module, "_cmd_" + name.replace("-", "_"))
+        assert set(re.findall(r"\bargs\.(\w+)", inspect.getsource(handler))) == dests, name
+        total += len(dests)
+    assert total == 57
 
 
 # --------------------------------------------------------------- sample-bridge
@@ -623,7 +697,7 @@ def test_dataset_outside_backbone_exits_2_writing_nothing(
         params.label_words = sorted({s.label_word for s in world.pool})
         save_pet(pet, params)
         args = ["eval", "--backbone", str(world_dir / "backbone.bin"), "--pet", str(pet),
-                "--data", str(bad), "--out", str(out)]
+                "--data", str(bad)]
     assert cli(args) == 2
     assert f"{bad}: {message}" in capsys.readouterr().err
     assert not out.exists()
@@ -671,11 +745,9 @@ def test_eval_scores_a_one_class_file_with_the_training_label_words(
 def test_eval_refuses_a_pet_without_label_words(world, world_dir, tmp_path, capsys):
     path = tmp_path / "pet.bin"
     save_pet(path, build_pet(PetConfig(kind="lora"), world.state, np.random.default_rng(0)))
-    out = tmp_path / "out"
     assert cli(["eval", "--backbone", str(world_dir / "backbone.bin"), "--pet", str(path),
-                "--data", str(world_dir / "task.jsonl"), "--out", str(out)]) == 2
+                "--data", str(world_dir / "task.jsonl")]) == 2
     assert f"{path}: no label words in the header" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_eval_reproduces_best_dev_metric(world_dir, cli_run, capsys):

@@ -141,6 +141,18 @@ def _pool(n_per_class=40, seed=9):
     return make_task_dataset(n_per_class, 8, 0.3, np.random.default_rng(seed))
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ((0, 8, 0.3), "per_class must be at least 1, got 0"),
+    ((4, True, 0.3), "seq_len must be an integer, got True"),
+    ((4, 8, 0.5), "mix must be below 0.5, got 0.5"),
+    ((4, 8, -0.1), "mix must be a finite number at least 0, got -0.1"),
+    ((4, 8, math.nan), "mix must be a finite number at least 0, got nan"),
+])
+def test_make_task_dataset_checks_its_sizes_as_task_config_does(sizes, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_task_dataset(*sizes, np.random.default_rng(0))
+
+
 def test_fewshot_sizes_and_disjointness():
     pool = _pool()
     train, dev = fewshot_split(pool, k=16, seed=0)
