@@ -584,6 +584,10 @@ def backward(root: Tensor) -> dict:
                 prev = grads.get(p)
                 grads[p] = pg if prev is None else prev + pg
             if leaf:
+                # Fold a leaf's stacks at its last use, not after the walk, to
+                # free them early: folding every leaf after the walk keeps every
+                # float but raised tune_grid's peak_rss_mb from 53.5 to 57.0 MB
+                # (benchmark, 2-core Xeon, 4 rounds a side).
                 uses[p] -= 1
                 if not uses[p] and p in waiting:
                     total = _sum_samples(waiting.pop(p))

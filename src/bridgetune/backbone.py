@@ -197,10 +197,7 @@ def _attention(state: BackboneState, i: int, x: Tensor, pet, xq: Tensor, mask) -
     hd = cfg.hidden_dim // cfg.num_heads
 
     def proj(wname, bname, which, x):
-        bias = state[n[bname]]
-        if pet is not None:
-            bias = pet.bias(n[bname], bias)
-        out = ad.matmul(state[n[wname]], x, bias=bias)
+        out = ad.matmul(state[n[wname]], x, bias=state[n[bname]])
         if pet is not None and which is not None:
             delta = pet.qv_delta(i, which, x)
             if delta is not None:
@@ -223,22 +220,15 @@ def _attention(state: BackboneState, i: int, x: Tensor, pet, xq: Tensor, mask) -
     weights = ad.softmax(scores, axis=-1)
     merged = ad.transpose(ad.matmul(weights, ad.transpose(v, heads=heads)), merge=True)
 
-    bo = state[n["bo"]]
-    if pet is not None:
-        bo = pet.bias(n["bo"], bo)
-    return ad.matmul(state[n["wo"]], merged, bias=bo)
+    return ad.matmul(state[n["wo"]], merged, bias=state[n["bo"]])
 
 
-def _ffn(state: BackboneState, i: int, x: Tensor, pet, product_cube=False) -> Tensor:
+def _ffn(state: BackboneState, i: int, x: Tensor, product_cube=False) -> Tensor:
     n = _layer_names(i)
-    b1, b2 = state[n["b1"]], state[n["b2"]]
-    if pet is not None:
-        b1 = pet.bias(n["b1"], b1)
-        b2 = pet.bias(n["b2"], b2)
-    hidden = ad.matmul(state[n["w1"]], x, bias=b1)
+    hidden = ad.matmul(state[n["w1"]], x, bias=state[n["b1"]])
     # every path but packed inference calls gelu with its one argument
     hidden = ad.gelu(hidden, product_cube=True) if product_cube else ad.gelu(hidden)
-    return ad.matmul(state[n["w2"]], hidden, bias=b2)
+    return ad.matmul(state[n["w2"]], hidden, bias=state[n["b2"]])
 
 
 def _layer(state: BackboneState, i: int, h: Tensor, pet, mask=None, cols=None) -> Tensor:
@@ -249,12 +239,7 @@ def _layer(state: BackboneState, i: int, h: Tensor, pet, mask=None, cols=None) -
     A mask marks packed inference, whose FFN takes GELU's product cube
     (autodiff.gelu)."""
     names = _layer_names(i)
-    g1, b1 = state[names["ln1_gain"]], state[names["ln1_bias"]]
-    g2, b2 = state[names["ln2_gain"]], state[names["ln2_bias"]]
-    if pet is not None:
-        b1 = pet.bias(names["ln1_bias"], b1)
-        b2 = pet.bias(names["ln2_bias"], b2)
-    x = ad.layer_norm(h, axis=-2, gain=g1, bias=b1)
+    x = ad.layer_norm(h, axis=-2, gain=state[names["ln1_gain"]], bias=state[names["ln1_bias"]])
     xq = x
     if cols is not None:
         xq, h = _columns(x, cols), _columns(h, cols)
@@ -262,7 +247,8 @@ def _layer(state: BackboneState, i: int, h: Tensor, pet, mask=None, cols=None) -
     if pet is not None:
         attn = pet.adapt(i, "attn", attn)
     h = ad.add(h, attn)
-    ff = _ffn(state, i, ad.layer_norm(h, axis=-2, gain=g2, bias=b2), pet, mask is not None)
+    x = ad.layer_norm(h, axis=-2, gain=state[names["ln2_gain"]], bias=state[names["ln2_bias"]])
+    ff = _ffn(state, i, x, mask is not None)
     if pet is not None:
         ff = pet.adapt(i, "ffn", ff)
     return ad.add(h, ff)
@@ -276,6 +262,12 @@ def _input_states(state: BackboneState, ids, pet) -> Tensor:
     return h
 
 
+def _tuned(state: BackboneState, pet) -> BackboneState:
+    """The backbone as pet sees it: BitFit's biases, the only PET tensors
+    named as backbone tensors (bias_names), take the place of the backbone's."""
+    return state if pet is None else BackboneState(state.config, {**state.tensors, **pet.tensors})
+
+
 def _encode(state: BackboneState, h: Tensor, positions, pet):
     """Run every layer over the input states h. Returns the trace's h_out
     and h_ctx lists: the states at the output positions and the means over
@@ -283,6 +275,7 @@ def _encode(state: BackboneState, h: Tensor, positions, pet):
     (positions: its mask position, in a list), these are d x 1 graph nodes;
     of a B x d x N stack under no_grad, B x d x 1 stacks, read for sample b
     at positions[b]."""
+    state = _tuned(state, pet)
     h_out, h_ctx = [], []
     for i in range(state.config.num_layers + 1):
         if i:
@@ -296,7 +289,8 @@ def forward(state: BackboneState, tokens, mask_position, pet=None):
     """Run the encoder; returns (logits at the mask position, HiddenTrace).
 
     pet, when given, is consulted at the attachment hooks: input extension,
-    query/value low-rank deltas, bias replacement, and sublayer adaptation.
+    query/value low-rank deltas and sublayer adaptation; BitFit's biases
+    take the place of the backbone's (_tuned).
 
     Packed form, for callers that read only the logits: mask_position is a
     list of (length, mask position) pairs and tokens holds those sequences
@@ -360,6 +354,7 @@ def _pack_logits(state: BackboneState, pack, pet) -> np.ndarray:
     block = np.repeat(np.arange(len(pack)), sizes)
     mask = np.where(block[:, None] == block[None, :], 0.0, -np.inf)
     h = ad.concat([h for h, _ in pack], axis=1)
+    state = _tuned(state, pet)
     num_layers = state.config.num_layers
     for i in range(num_layers - 1):
         h = _layer(state, i, h, pet, Tensor(mask))

@@ -293,7 +293,11 @@ def _cmd_fit_map(args):
         raise DataError(f"endpoint table of {args.backbone}: {e}") from e
     rng = np.random.default_rng(args.seed)
     samples = mlm_samples(corpus, rng)
-    mapnet, history = fit_map(state, samples, cfg, endpoints)
+    try:
+        mapnet, history = fit_map(state, samples, cfg, endpoints)
+    except NonFiniteError as e:  # the losses grow as eta squared
+        raise NonFiniteError(f"--eta {args.eta!r}, latent dimension {cfg.latent_dim}: "
+                             f"{e}") from e
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"map-{args.method}.bin")
     save_mapnet(path, mapnet, args.method, endpoints)

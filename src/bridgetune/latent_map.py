@@ -89,7 +89,8 @@ class MapNet:
     """Three affine layers with relu between them. Input is [h_o; h_bar]
     (2d) for the PDF method, plus a scalar time channel (2d+1) for SDE.
     bridge is the bridge the map was fitted toward: its kind, q and sigma
-    (its beta is unused; bridge_spec gives each token's)."""
+    (its beta is unused; bridge_spec gives each token's). sde_steps is the
+    simulation grid it was fitted on, which the sde running cost uses."""
 
     weights: list
     biases: list
@@ -97,6 +98,7 @@ class MapNet:
     time_augmented: bool
     bridge: bridges.BridgeSpec = field(
         default_factory=lambda: bridges.BridgeSpec(kind=bridges.BROWNIAN))
+    sde_steps: int = 8
 
     def forward(self, x: Tensor) -> Tensor:
         h = x
@@ -116,11 +118,7 @@ class MapNet:
         return MapNet(weights=[Tensor(w.data) for w in self.weights],
                       biases=[Tensor(b.data) for b in self.biases],
                       dims=self.dims, time_augmented=self.time_augmented,
-                      bridge=self.bridge)
-
-    @property
-    def out_dim(self) -> int:
-        return self.dims[-1]
+                      bridge=self.bridge, sde_steps=self.sde_steps)
 
 
 def new_mapnet(input_dim: int, hidden_dims, out_dim: int,
@@ -281,9 +279,9 @@ def running_cost(cfg, mapnet: MapNet, trace: HiddenTrace, spec: bridges.BridgeSp
                  rng: np.random.Generator) -> Tensor:
     """The running cost of cfg.method ("pdf" or "sde") for one trace, lower
     when the latent path is closer to the bridge: the negated PDF goodness,
-    or the SDE KL over cfg.sde_steps steps with its noise drawn from rng."""
+    or the SDE KL over mapnet.sde_steps steps with its noise drawn from rng."""
     return _method_cost(cfg, lambda: goodness_pdf(mapnet, trace, spec),
-                        lambda: goodness_sde(mapnet, trace, spec, cfg.sde_steps, rng))
+                        lambda: goodness_sde(mapnet, trace, spec, mapnet.sde_steps, rng))
 
 
 def _method_cost(cfg, pdf, sde) -> Tensor:
@@ -322,12 +320,13 @@ def _knot_stack(pairs, endpoints: EndpointTable):
 
 def _stack_costs(cfg, mapnet: MapNet, knots: Tensor, betas, draws) -> Tensor:
     """running_cost of each slice of a knot stack toward mapnet's bridge
-    with the slice's row of betas: a vector with each slice's bytes. draws
-    is the sde noise, the draws of B samples in turn, or one draw that
-    every slice shares."""
+    with the slice's row of betas, on mapnet's grid: a vector with each
+    slice's bytes. draws is the sde noise, the draws of B samples in turn,
+    or one draw that every slice shares."""
     spec = mapnet.bridge
     return _method_cost(cfg, lambda: _goodness_pdf(mapnet, knots, betas, spec),
-                        lambda: _goodness_sde(mapnet, knots, betas, spec, cfg.sde_steps, draws))
+                        lambda: _goodness_sde(mapnet, knots, betas, spec, mapnet.sde_steps,
+                                              draws))
 
 
 def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
@@ -336,7 +335,7 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
 
     samples/holdout: (tokens, target, mask_position) triples. Returns
     (MapNet, history) where history rows are (step, train_loss, holdout_goodness);
-    the map carries cfg's bridge (MapNet.bridge).
+    the map carries cfg's bridge and sde_steps (MapNet.bridge, MapNet.sde_steps).
 
     A sample's trace is collected when a batch first draws it, so a short fit
     runs no forward for samples it never draws; every sample is checked
@@ -360,6 +359,7 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
     mapnet = new_mapnet(2 * state.config.hidden_dim + sde, MAP_HIDDEN_DIMS, cfg.latent_dim,
                         rng, time_augmented=sde)
     mapnet.bridge = bridges.BridgeSpec(kind=cfg.bridge_kind, q=cfg.q, sigma=cfg.sigma)
+    mapnet.sde_steps = cfg.sde_steps
     drawn = {}  # sample index -> (knot matrix, target)
     held = _knot_stack(_knots(state, holdout), endpoints) if holdout else None
     params = mapnet.trainables()
@@ -397,12 +397,14 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
 
 
 def save_mapnet(path, mapnet: MapNet, method: str, endpoints: EndpointTable) -> None:
-    """The map, its bridge's kind, q and sigma, and the endpoint table."""
+    """The map, its bridge's kind, q and sigma, its sde_steps, and the
+    endpoint table."""
     bridge = mapnet.bridge
     header = {
         "kind": "mapnet", "method": method, "dims": list(mapnet.dims),
         "time_augmented": mapnet.time_augmented, "eta": endpoints.eta,
         "r": endpoints.r, "bridge_kind": bridge.kind, "q": bridge.q, "sigma": bridge.sigma,
+        "sde_steps": mapnet.sde_steps,
     }
     tensors = {"endpoints.beta": endpoints.beta}
     for i, (w, b) in enumerate(zip(mapnet.weights, mapnet.biases)):
@@ -415,7 +417,8 @@ def load_mapnet(path):
     """Returns (MapNet, EndpointTable, header); the map's tensors are
     frozen (requires_grad False), as load_backbone's are. The header's
     bridge_kind, q and sigma, checked as FitMapConfig checks its own, are
-    the map's bridge."""
+    the map's bridge, and its sde_steps, an integer of at least 4, the
+    map's grid."""
     header, tensors = load_kind(path, "mapnet")
     dims = tuple(header_value(path, header, "dims", lambda v: isinstance(v, list) and (
         len(v) >= 2 and all(type(d) is int and d >= 1 for d in v))))
@@ -427,6 +430,7 @@ def load_mapnet(path):
     q, sigma = (header_value(path, header, key,
                              lambda v: type(v) in (int, float) and 0 < v < math.inf)
                 for key in ("q", "sigma"))
+    sde_steps = header_value(path, header, "sde_steps", lambda v: type(v) is int and v >= 4)
     r = header_value(path, header, "r", lambda v: v == dims[-1] and type(v) is int)
     n_layers = len(dims) - 1
     shapes = {"endpoints.beta": (None, r)}
@@ -437,5 +441,5 @@ def load_mapnet(path):
     weights = [Tensor(tensors[f"map.w{i}"]) for i in range(n_layers)]
     biases = [Tensor(tensors[f"map.b{i}"]) for i in range(n_layers)]
     mapnet = MapNet(weights=weights, biases=biases, dims=dims, time_augmented=time_augmented,
-                    bridge=bridges.BridgeSpec(kind=kind, q=q, sigma=sigma))
+                    bridge=bridges.BridgeSpec(kind=kind, q=q, sigma=sigma), sde_steps=sde_steps)
     return mapnet, EndpointTable(beta=tensors["endpoints.beta"], eta=eta, r=r), header

@@ -1,9 +1,10 @@
 """The four parameter-efficient tuning mechanisms on the frozen backbone.
 
-Each PET owns the only requires_grad=True tensors during downstream training
-and plugs into backbone.forward through four hooks: attach_input (prompt),
-qv_delta (LoRA), bias (BitFit), adapt (Adapter). The base class makes every
-hook a no-op, so each kind overrides exactly one.
+Each PET owns the only requires_grad=True tensors during downstream training.
+Three plug into backbone.forward through a hook each: attach_input (prompt),
+qv_delta (LoRA), adapt (Adapter); the base class makes every hook a no-op.
+BitFit overrides none: its tensors carry the backbone's bias names, and the
+backbone reads them in place of its own.
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ class PetParams:
     def qv_delta(self, layer: int, which: str, x: Tensor):
         return None
 
-    def bias(self, name: str, frozen: Tensor) -> Tensor:
-        return frozen
-
     def adapt(self, layer: int, site: str, h: Tensor) -> Tensor:
         return h
 
@@ -124,16 +122,15 @@ class LoraParams(PetParams):
                     np.zeros((d, r)), requires_grad=True)
 
     def qv_delta(self, layer, which, x):
-        if which not in ("q", "v"):
-            return None
         A = self.tensors[f"layer{layer}.{which}.A"]
         B = self.tensors[f"layer{layer}.{which}.B"]
         return ad.matmul(B, ad.matmul(A, x))
 
 
 class BitfitParams(PetParams):
-    """Trainable clones of every linear and layer-norm bias; the frozen
-    snapshot is untouched."""
+    """Trainable clones of every linear and layer-norm bias, under the
+    backbone's names, which the backbone reads in place of its own; the
+    frozen snapshot is untouched."""
 
     kind = "bitfit"
 
@@ -141,9 +138,6 @@ class BitfitParams(PetParams):
         super().__init__(config)
         for name in bias_names(state.config):
             self.tensors[name] = Tensor(state[name].data.copy(), requires_grad=True)
-
-    def bias(self, name, frozen):
-        return self.tensors.get(name, frozen)
 
 
 class AdapterParams(PetParams):

@@ -36,7 +36,6 @@ class TrainConfig:
     max_steps: int = 1000
     eval_every: int = 50
     seed: int = 0
-    sde_steps: int = 8
     metric: str = "accuracy"
 
     def __post_init__(self):
@@ -46,7 +45,7 @@ class TrainConfig:
             raise ValueError(f"metric must be accuracy, f1 or matthews, got {self.metric!r}")
         check_finite(self, 0, "alpha", strict=False)
         check_finite(self, 0, "learning_rate")
-        check_counts(self, batch_size=1, max_steps=1, eval_every=1, sde_steps=4, seed=0)
+        check_counts(self, batch_size=1, max_steps=1, eval_every=1, seed=0)
 
 
 def total_loss(logits: Tensor, label_word: int, trace, mapnet, endpoints,
@@ -229,7 +228,8 @@ def run_training(out_dir, state: BackboneState, pet_cfg: PetConfig, mapnet,
                  endpoints, train_set, dev_set, cfg: TrainConfig):
     """One run directory: config.json, metrics.csv, best checkpoint, and the
     dev set's probe traces for later analysis. Given a map, config.json
-    records its bridge's kind, q and sigma under "bridge"."""
+    records its bridge's kind, q and sigma under "bridge" and, for an sde
+    map, its grid under "sde_steps"."""
     pet, history, summary = train_pet(state, pet_cfg, mapnet, endpoints,
                                       train_set, dev_set, cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -242,6 +242,8 @@ def run_training(out_dir, state: BackboneState, pet_cfg: PetConfig, mapnet,
     if mapnet is not None:
         bridge = mapnet.bridge
         record["bridge"] = {"kind": bridge.kind, "q": bridge.q, "sigma": bridge.sigma}
+        if mapnet.time_augmented:
+            record["sde_steps"] = mapnet.sde_steps
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
         json.dump(record, f, indent=2, sort_keys=True)
     write_csv(os.path.join(out_dir, "metrics.csv"),

@@ -97,16 +97,10 @@ def fit_natural(knots) -> CubicSpline:
 def interp_weights(knot_positions, eval_points) -> np.ndarray:
     """Weight matrix W with eval_many(eval_points) == W @ knot_values.
 
-    Natural-spline evaluation is linear in the knot values, so fitting the
-    unit knot vectors one at a time recovers the exact weights. Lets callers
-    express spline evaluation as a constant matmul on an autodiff graph.
+    Natural-spline evaluation is linear in the knot values, so the spline
+    through the unit knot vectors (one coordinate each, fitted on its own)
+    recovers the exact weights. Lets callers express spline evaluation as a
+    constant matmul on an autodiff graph.
     """
     pos = np.asarray(knot_positions, dtype=np.float64)
-    n = len(pos)
-    cols = []
-    for j in range(n):
-        unit = np.zeros(n)
-        unit[j] = 1.0
-        s = fit_natural(list(zip(pos, unit)))
-        cols.append(s.eval_many(eval_points)[:, 0])
-    return np.stack(cols, axis=1)
+    return fit_natural(list(zip(pos, np.eye(len(pos))))).eval_many(eval_points)

@@ -190,8 +190,9 @@ def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
      "learning_rate must be a finite number above 0, got nan"),
     (["train-pet", "--pet", "lora"], {"train": {"alpha": math.inf}},
      "alpha must be a finite number at least 0, got inf"),
-    (["train-pet", "--pet", "lora"], {"train": {"sde_steps": 2}},
-     "sde_steps must be at least 4, got 2"),
+    # the map carries its sde grid, so a train section has no sde_steps
+    (["train-pet", "--pet", "lora"], {"train": {"sde_steps": 8}},
+     "section 'train' has unknown key 'sde_steps'"),
     (["train-pet", "--pet", "prompt"], {"pet": {"prompt_len": 2.5}},
      "prompt_len must be an integer, got 2.5"),
     (["train-pet", "--pet", "prompt"], {"pet": {"prompt_len": True}},
@@ -370,7 +371,7 @@ def test_config_key_inventory():
     flag always sets. A key added or dropped changes this count on purpose."""
     counts = {section: len([f for f in fields(cls) if (section, f.name) not in FLAG_KEYS])
               for section, (_, cls) in CONFIG_SECTIONS.items()}
-    assert counts == {"model": 6, "pretrain": 2, "fitmap": 9, "train": 8, "pet": 3, "task": 3}
+    assert counts == {"model": 6, "pretrain": 2, "fitmap": 9, "train": 7, "pet": 3, "task": 3}
 
 
 def test_every_subcommand_reads_every_flag_it_takes():
@@ -668,6 +669,22 @@ def test_stage1_non_finite_step_exits_2_writing_nothing(world_dir, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["pdf", "sde"])
+def test_fit_map_non_finite_step_names_eta_and_latent_dim(world_dir, tmp_path, capsys, method):
+    """Rows of norm 1e154 stay finite, but the losses grow as eta squared."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli(["fit-map", "--method", method, "--steps", "3", "--eta", "1e154",
+                    "--backbone", str(world_dir / "backbone.bin"),
+                    "--corpus", str(world_dir / "corpus.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --eta 1e+154, latent dimension 8: "
+                          "non-finite training step 1: loss inf")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 def _bad_dataset(tmp_path, case):
     """One valid sample, then one with a token id outside the vocabulary of
     64 or with 26 tokens, which fit max_seq_len 32 only without a prompt."""
@@ -740,6 +757,16 @@ def test_eval_scores_a_one_class_file_with_the_training_label_words(
     value = float(capsys.readouterr().out.split(":")[1])
     assert value == pytest.approx(len(hit[:8]) / len(one_class), abs=1e-6)
     assert evaluate(world.state, pet, one_class) == 1.0
+
+
+def test_train_pet_takes_sde_grid_from_map(world, world_dir, cli_run, tmp_path):
+    map6 = tmp_path / "map-6.bin"
+    save_mapnet(map6, replace(world.sde_map, sde_steps=6), "sde", world.endpoints)
+    assert cli(_train_args(world_dir, cli_run["data"], tmp_path / "run", "--method", "sde",
+                           "--alpha", "0.1", "--map", str(map6))) == 0
+    record = json.loads((tmp_path / "run" / "config.json").read_text())
+    assert record["sde_steps"] == 6
+    assert "sde_steps" not in record["train"]
 
 
 def test_eval_refuses_a_pet_without_label_words(world, world_dir, tmp_path, capsys):

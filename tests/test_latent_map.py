@@ -120,7 +120,7 @@ def test_new_mapnet_deterministic_and_zero_biases():
     for bias in a.biases:
         assert np.all(bias.data == 0.0)
     assert len(a.trainables()) == 6
-    assert a.out_dim == 2
+    assert a.dims[-1] == 2
 
 
 def test_latent_times_values():
@@ -348,7 +348,7 @@ def test_running_cost_is_negated_pdf_goodness_or_sde_kl(cfg_cls, kind):
     trace = _tiny_trace(rng)
     endpoints = build_endpoints(rng.normal(size=(6, 5)), r=2, eta=1.0)
     pdf_cfg = cfg_cls(method="pdf")
-    sde_cfg = cfg_cls(method="sde", sde_steps=6)
+    sde_cfg = cfg_cls(method="sde")
     net = _tiny_mapnet(rng)
     net.bridge = bridges.BridgeSpec(kind=kind, q=0.7, sigma=1.3)
     spec = bridge_spec(net, endpoints, 4)
@@ -359,6 +359,7 @@ def test_running_cost_is_negated_pdf_goodness_or_sde_kl(cfg_cls, kind):
     assert got == -goodness_pdf(net, trace, spec).item()
 
     net = _tiny_mapnet(rng, sde=True)
+    net.sde_steps = 6  # the grid is the map's, not the config's
     rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
     got = running_cost(sde_cfg, net, trace, spec, rng_a).item()
     assert got == goodness_sde(net, trace, spec, 6, rng_b).item()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bridgetune.autodiff as ad
-from bridgetune.backbone import (MASK_ID, ModelConfig, checksum, forward,
+from bridgetune.backbone import (MASK_ID, ModelConfig, bias_names, checksum, forward,
                                  freeze, init_backbone)
 from bridgetune.pets import (PET_KINDS, AdapterParams, BitfitParams,
                              LoraParams, PetConfig, PromptLengthError,
@@ -213,6 +213,21 @@ def test_bitfit_params_are_clones(frozen):
         assert np.array_equal(t.data, frozen[name].data)
         t.data[...] += 1.0
         assert not np.array_equal(t.data, frozen[name].data)  # no aliasing
+
+
+def test_only_bitfit_tensors_carry_backbone_names(frozen):
+    """The backbone reads a PET's tensors in place of its own of the same
+    name: BitFit's are exactly its biases, and no other kind has one. No
+    PET has a bias hook."""
+    for kind in PET_KINDS:
+        pet = _pet(kind, frozen)
+        shared = set(pet.tensors) & set(frozen.tensors)
+        if kind == "bitfit":
+            assert list(pet.tensors) == bias_names(frozen.config)
+            assert shared == set(pet.tensors)
+        else:
+            assert not shared, kind
+        assert not hasattr(pet, "bias")
 
 
 def test_bitfit_zero_biases_match_biasless_backbone(frozen):

@@ -87,7 +87,7 @@ def test_total_loss_scores_toward_the_bridge_of_its_map(world, method):
     for kind in (bridges.OU, bridges.BROWNIAN):
         spec = bridges.BridgeSpec(kind=kind, beta=beta, q=1.5, sigma=0.9)
         costs[kind] = -goodness_pdf(brownian_map, trace, spec).item() if method == "pdf" \
-            else goodness_sde(brownian_map, trace, spec, cfg.sde_steps,
+            else goodness_sde(brownian_map, trace, spec, brownian_map.sde_steps,
                               np.random.default_rng(5)).item()
     assert running == costs[bridges.OU] != costs[bridges.BROWNIAN]
 
@@ -124,13 +124,13 @@ def test_train_config_validation():
     for bad in (0, 0.0, -5e-3, math.nan, math.inf, -math.inf, True):
         with pytest.raises(ValueError, match="learning_rate must be a finite number above 0"):
             TrainConfig(learning_rate=bad)
-    for key, low in (("batch_size", 1), ("max_steps", 1), ("eval_every", 1), ("sde_steps", 4)):
+    for key, low in (("batch_size", 1), ("max_steps", 1), ("eval_every", 1)):
         with pytest.raises(ValueError, match=f"{key} must be at least {low}"):
             TrainConfig(**{key: low - 1})
         for bad in ("4", 4.0, True):
             with pytest.raises(ValueError, match=f"{key} must be an integer"):
                 TrainConfig(**{key: bad})
-    for key in ("bridge_kind", "q", "sigma"):  # the map carries its bridge
+    for key in ("bridge_kind", "q", "sigma", "sde_steps"):  # the map carries them
         with pytest.raises(TypeError):
             TrainConfig(**{key: 1.0})
 
@@ -415,6 +415,25 @@ def test_train_pet_backward_never_reaches_the_map(world, monkeypatch, method):
     assert all(t.requires_grad for t in mapnet.trainables())
     for t, data in zip(mapnet.trainables(), before):
         assert np.array_equal(t.data, data)
+
+
+def test_train_pet_scores_sde_on_the_grid_of_its_map(world):
+    """A map fitted on a 6-step grid is scored on that grid in stage 2:
+    the map carries the grid, and TrainConfig has none."""
+    cfg6 = latent_map.FitMapConfig(method="sde", sde_steps=6, max_steps=1, batch_size=2)
+    mapnet, _ = latent_map.fit_map(world.state, world.fit_samples[:8], cfg6, world.endpoints)
+    assert mapnet.sde_steps == 6
+    train, dev = fewshot_split(world.pool, k=2, seed=4)
+    cfg = _short_cfg(alpha=0.1, method="sde", max_steps=1, eval_every=1, batch_size=1)
+    pet_cfg = PetConfig(kind="lora")
+    _, history, _ = train_pet(world.state, pet_cfg, mapnet, world.endpoints, train, dev, cfg)
+    # train_pet's draws in order: the PET's init, the batch index, the sde noise
+    rng = np.random.default_rng(cfg.seed)
+    pet = build_pet(pet_cfg, world.state, rng)
+    s = train[rng.integers(0, len(train), size=1)[0]]
+    _, trace = forward(world.state, s.tokens, s.mask_position, pet=pet)
+    spec = latent_map.bridge_spec(mapnet, world.endpoints, s.label_word)
+    assert history[0]["running_cost"] == goodness_sde(mapnet, trace, spec, 6, rng).item()
 
 
 def test_train_pet_same_seed_same_history(world):

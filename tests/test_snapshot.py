@@ -273,6 +273,33 @@ def test_map_loader_rejects_bad_bridge_field(tmp_path, key, value):
         load_mapnet(tmp_path / "bad.bin")
 
 
+def test_map_carries_its_sde_grid(tmp_path):
+    _tiny_files(tmp_path)
+    mapnet, endpoints, header = load_mapnet(tmp_path / "map.bin")
+    assert mapnet.sde_steps == header["sde_steps"] == 8  # a hand-built map's default
+    mapnet.sde_steps = 6
+    save_mapnet(tmp_path / "map6.bin", mapnet, "pdf", endpoints)
+    assert load_mapnet(tmp_path / "map6.bin")[0].sde_steps == 6
+    assert mapnet.frozen().sde_steps == 6
+
+
+@pytest.mark.parametrize("value", [3, 8.0, "8", True, None],
+                         ids=["below-4", "float", "string", "bool", "null"])
+def test_map_loader_rejects_bad_sde_steps(tmp_path, value):
+    _tiny_files(tmp_path)
+    header, tensors = load_snapshot(tmp_path / "map.bin")
+    header["sde_steps"] = value
+    save_snapshot(tmp_path / "bad.bin", header, tensors)
+    with pytest.raises(SnapshotFormatError,
+                       match="header field 'sde_steps' missing or malformed"):
+        load_mapnet(tmp_path / "bad.bin")
+    del header["sde_steps"]
+    save_snapshot(tmp_path / "bad.bin", header, tensors)
+    with pytest.raises(SnapshotFormatError,
+                       match="header field 'sde_steps' missing or malformed"):
+        load_mapnet(tmp_path / "bad.bin")
+
+
 @pytest.mark.parametrize("value", [[], [5, 5], [5, 2], [2.0, 5], [True, 5], [2, 16],
                                    [{"a": 1}], "25", None],
                          ids=["empty", "repeated", "unsorted", "float", "bool",

@@ -121,6 +121,27 @@ def test_interp_weights_reproduce_eval():
     assert np.max(np.abs(w @ ys - spline.eval_many(probes))) < 1e-10
 
 
+def _weights_one_unit_vector_at_a_time(pos, points):
+    """interp_weights' reference: one scalar spline per unit knot vector."""
+    n = len(pos)
+    return np.stack([fit_natural(list(zip(pos, np.eye(n)[j]))).eval_many(points)[:, 0]
+                     for j in range(n)], axis=1)
+
+
+def test_interp_weights_equal_one_fit_per_unit_vector_byte_for_byte():
+    """The bytes goodness_sde reads (a zero's sign counts too): random knot
+    sets, and every (L, n_steps) grid of latent_map._spline_feature_weights."""
+    rng = np.random.default_rng(4)
+    cases = [(np.sort(rng.choice(np.linspace(-3, 3, 61), size=n, replace=False)),
+              rng.uniform(-5, 5, size=int(rng.integers(1, 40))))
+             for n in rng.integers(2, 12, size=200)]
+    cases += [(np.arange(L + 1, dtype=np.float64), (L + 2) * (np.arange(s - 1) / s) - 1.0)
+              for L in range(1, 12) for s in range(4, 40)]
+    for pos, points in cases:
+        assert interp_weights(pos, points).tobytes() == \
+            _weights_one_unit_vector_at_a_time(pos, points).tobytes()
+
+
 def test_interp_weights_partition_of_unity():
     # constant data must be reproduced exactly, so rows sum to one
     w = interp_weights(np.linspace(0, 1, 4), np.linspace(-0.2, 1.2, 9))
