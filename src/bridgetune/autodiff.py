@@ -36,6 +36,7 @@ class NonFiniteError(FloatingPointError):
 
 _grad_enabled = True
 _FLOAT64 = np.dtype(np.float64)
+_LN_EPS = 1e-5  # layer_norm's variance floor
 
 
 @contextmanager
@@ -164,27 +165,25 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeMismatchError(
             f"matmul: leading axes differ, {a.data.shape} @ {b.data.shape}") from None
 
-    if bias is None:
-        def grad_fn(g):
-            return (_unbroadcast(g @ b.data.mT, a.data.shape) if a.requires_grad else None,
-                    _unbroadcast(a.data.mT @ g, b.data.shape) if b.requires_grad else None)
-
-        return _make("matmul", [a, b], out, grad_fn)
-
-    try:
-        biased = out + bias.data
-    except ValueError:
-        biased = None
-    if biased is None or biased.shape != out.shape:
-        raise ShapeMismatchError(f"matmul: bias of shape {bias.data.shape} for {out.shape}")
-    out = biased
+    parents = [a, b]
+    if bias is not None:
+        try:
+            biased = out + bias.data
+        except ValueError:
+            biased = None
+        if biased is None or biased.shape != out.shape:
+            raise ShapeMismatchError(f"matmul: bias of shape {bias.data.shape} for {out.shape}")
+        out = biased
+        parents.append(bias)
 
     def grad_fn(g):
-        return (_unbroadcast(g @ b.data.mT, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(a.data.mT @ g, b.data.shape) if b.requires_grad else None,
-                _unbroadcast(g, bias.data.shape) if bias.requires_grad else None)
+        grads = (_unbroadcast(g @ b.data.mT, a.data.shape) if a.requires_grad else None,
+                 _unbroadcast(a.data.mT @ g, b.data.shape) if b.requires_grad else None)
+        if bias is None:
+            return grads
+        return grads + (_unbroadcast(g, bias.data.shape) if bias.requires_grad else None,)
 
-    return _make("matmul", [a, b, bias], out, grad_fn)
+    return _make("matmul", parents, out, grad_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -367,7 +366,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make("softmax", [a], s, grad_fn)
 
 
-def layer_norm(a: Tensor, axis: int = 0, eps: float = 1e-5,
+def layer_norm(a: Tensor, axis: int = 0,
                gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
     """Normalize to zero mean, unit variance along axis. With gain and bias
     (given together), gain * y + bias in one node: the values, and the
@@ -375,7 +374,7 @@ def layer_norm(a: Tensor, axis: int = 0, eps: float = 1e-5,
     add(elementwise_mul(gain, layer_norm(a)), bias)."""
     n = a.data.shape[axis]
     centred = a.data - _mean(a.data, axis, n)
-    inv = 1.0 / np.sqrt(_mean(centred * centred, axis, n) + eps)  # np.var's arithmetic
+    inv = 1.0 / np.sqrt(_mean(centred * centred, axis, n) + _LN_EPS)  # np.var's arithmetic
     y = centred * inv
 
     def normalized_grad(g):

@@ -1,7 +1,10 @@
 """Command-line surface for the bridge-regularized PET pipeline.
 
 Subcommands: pretrain, fit-map, train-pet, eval, fewshot, sample-bridge,
-analyze. Exit codes: 0 success, 1 usage error, 2 data error.
+analyze, make-task. Exit codes: 0 success, 1 usage error, 2 data error.
+
+Each input is checked once, where it is owned: data against the backbone's
+config, a config section by its dataclass, a snapshot by its loader.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import bridges
 from .analysis import (StatisticsError, bridge_distance, centroid_distance,
-                       pearson, trace_from_arrays)
+                       kendall_tau_b, pearson, trace_from_arrays)
 from .autodiff import NonFiniteError
 from .backbone import (ModelConfig, PretrainConfig, check_input, freeze,
                        load_backbone, masked_accuracy, mlm_samples, pretrain_mlm,
@@ -240,12 +243,12 @@ def _build_parser():
 def _cmd_pretrain(args):
     cfg_file = _load_config(args.config)
     model_cfg = _dataclass_from(ModelConfig, args.config, cfg_file, "model", {})
-    if args.seq_len > model_cfg.max_seq_len:
-        raise DataError(f"--seq-len {args.seq_len} exceeds max_seq_len "
-                        f"{model_cfg.max_seq_len}")
     rng = np.random.default_rng(args.seed)
     corpus = make_pretrain_corpus(args.corpus_size, args.seq_len, rng)
     holdout = make_pretrain_corpus(60, args.seq_len, rng)
+    for name, seqs in (("corpus", corpus), ("holdout", holdout)):
+        _check_corpus(f"synthetic {name} (--seq-len {args.seq_len}, model config)", seqs,
+                      model_cfg)
     pre_cfg = _dataclass_from(PretrainConfig, args.config, cfg_file, "pretrain", {},
                               max_steps=args.steps, seed=args.seed)
     state = freeze(pretrain_mlm(model_cfg, corpus, pre_cfg))
@@ -259,28 +262,32 @@ def _cmd_pretrain(args):
     return 0
 
 
-def _load_corpus(path, state):
-    """The corpus JSON: a non-empty list of sequences, each one that
-    backbone.check_input accepts for state's config."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            corpus = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read corpus {path}: {e}") from e
+def _check_corpus(source, corpus, config) -> None:
+    """DataError naming source unless corpus is a non-empty list of
+    sequences, each one that backbone.check_input accepts for config."""
     if not isinstance(corpus, list) or not corpus:
-        raise DataError(f"{path}: expected a non-empty list of sequences")
+        raise DataError(f"{source}: expected a non-empty list of sequences")
     for i, seq in enumerate(corpus):
         try:
-            check_input(state.config, seq)
+            check_input(config, seq)
         except ValueError as e:
-            raise DataError(f"{path}: sequence {i}: {e}") from e
-    return corpus
+            raise DataError(f"{source}: sequence {i}: {e}") from e
+
+
+def _load_corpus(path):
+    """The corpus JSON as read; _check_corpus checks it."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        raise DataError(f"cannot read corpus {path}: {e}") from e
 
 
 def _cmd_fit_map(args):
     cfg_file = _load_config(args.config)
     state = load_backbone(args.backbone)
-    corpus = _load_corpus(args.corpus, state)
+    corpus = _load_corpus(args.corpus)
+    _check_corpus(args.corpus, corpus, state.config)
     overrides = {"bridge_kind": args.bridge, "max_steps": args.steps,
                  "latent_dim": args.latent_dim}
     cfg = _dataclass_from(FitMapConfig, args.config, cfg_file, "fitmap", overrides,
@@ -324,8 +331,8 @@ def _cmd_train_pet(args):
         build_pet(pet_cfg, state, np.random.default_rng(0))
     except ValueError as e:  # a PET config this backbone cannot take
         raise DataError(f"bad PetConfig value: {e}") from e
-    if header is not None and header.get("method") != cfg.method:
-        raise DataError(f"{args.map} was fitted for method {header.get('method')!r}, "
+    if header is not None and header["method"] != cfg.method:
+        raise DataError(f"{args.map} was fitted for method {header['method']!r}, "
                         f"not {cfg.method!r}")
     if mapnet is None and cfg.method != "none":
         raise DataError(f"method {cfg.method!r} requires --map")
@@ -390,18 +397,8 @@ def _cmd_analyze(args):
             raise DataError(f"{args.map}: an sde map, but analyze scores traces with a pdf map")
     rows = []
     for run in args.runs:
-        cfg_path = os.path.join(run, "config.json")
-        try:
-            with open(cfg_path, "r", encoding="utf-8") as f:
-                cfg = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            raise DataError(f"cannot read {cfg_path}: {e}") from e
-        train = cfg.get("train") if isinstance(cfg, dict) else None
-        alpha = train.get("alpha") if isinstance(train, dict) else None
-        if type(alpha) not in (int, float) or not abs(alpha) <= sys.float_info.max:
-            raise DataError(f"{cfg_path}: train.alpha missing or not a number")
         probe_path = os.path.join(run, "probe.bin")
-        labels, samples = load_probe(probe_path)
+        alpha, labels, samples = load_probe(probe_path)
         if mapnet is not None and samples:
             _check_map_width(args.map, mapnet, samples[0][0].shape[1], probe_path)
         by_label = {}
@@ -430,11 +427,12 @@ def _cmd_analyze(args):
 
     alphas = [row["alpha"] for row in rows]
     cds = [row["centroid_distance"] for row in rows]
-    try:
-        r, p = pearson(alphas, cds)
-        print(f"pearson(alpha, centroid_distance): r={r:.6f} p={p:.6f}")
-    except StatisticsError as e:
-        print(f"pearson(alpha, centroid_distance): not computable ({e})")
+    for name, stat, key in (("pearson", pearson, "r"), ("kendall_tau_b", kendall_tau_b, "tau")):
+        try:
+            value, p = stat(alphas, cds)
+            print(f"{name}(alpha, centroid_distance): {key}={value:.6f} p={p:.6f}")
+        except StatisticsError as e:
+            print(f"{name}(alpha, centroid_distance): not computable ({e})")
     return 0
 
 

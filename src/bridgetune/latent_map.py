@@ -416,14 +416,15 @@ def save_mapnet(path, mapnet: MapNet, method: str, endpoints: EndpointTable) -> 
 def load_mapnet(path):
     """Returns (MapNet, EndpointTable, header); the map's tensors are
     frozen (requires_grad False), as load_backbone's are. The header's
-    bridge_kind, q and sigma, checked as FitMapConfig checks its own, are
-    the map's bridge, and its sde_steps, an integer of at least 4, the
-    map's grid."""
+    method is sde for a time-augmented map, else pdf. Its bridge_kind, q and
+    sigma, checked as FitMapConfig checks its own, are the map's bridge, and
+    its sde_steps, an integer of at least 4, the map's grid."""
     header, tensors = load_kind(path, "mapnet")
     dims = tuple(header_value(path, header, "dims", lambda v: isinstance(v, list) and (
         len(v) >= 2 and all(type(d) is int and d >= 1 for d in v))))
     time_augmented = header_value(path, header, "time_augmented",
                                   lambda v: isinstance(v, bool))
+    header_value(path, header, "method", lambda v: v == ("sde" if time_augmented else "pdf"))
     eta = header_value(path, header, "eta", lambda v: type(v) in (int, float))
     kind = header_value(path, header, "bridge_kind",
                         lambda v: v in (bridges.BROWNIAN, bridges.OU))

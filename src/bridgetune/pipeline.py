@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -207,12 +208,14 @@ def dump_probe_traces(path, state: BackboneState, pet, dataset, meta: dict) -> N
 
 
 def load_probe(path):
-    """The probe set of dump_probe_traces: (labels, per sample its h_out and
-    h_ctx matrices). Raises SnapshotFormatError unless path is a probe
-    snapshot with a list of integer labels and, per label, exactly the
-    records s<i>.h_out and s<i>.h_ctx, all matrices of one shape with at
-    least one row."""
+    """A run's probe set, as run_training writes it: (alpha, labels, per
+    sample its h_out and h_ctx matrices). Raises SnapshotFormatError unless
+    path is a probe snapshot with a finite number alpha, a list of integer
+    labels and, per label, exactly the records s<i>.h_out and s<i>.h_ctx,
+    all matrices of one shape with at least one row."""
     header, tensors = load_kind(path, "probe")
+    alpha = header_value(path, header, "alpha",  # finite, and no int beyond a float
+                         lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
     labels = header_value(path, header, "labels", lambda v: isinstance(v, list) and all(
         type(label) is int for label in v))
     names = [(f"s{i}.h_out", f"s{i}.h_ctx") for i in range(len(labels))]
@@ -221,7 +224,7 @@ def load_probe(path):
     if len(shapes) > 1 or any(rows == 0 for rows, _ in shapes):
         raise SnapshotFormatError(f"{path}: probe records of shapes {sorted(shapes)}, "
                                   f"not one shape with at least one row")
-    return labels, [(tensors[out], tensors[ctx]) for out, ctx in names]
+    return alpha, labels, [(tensors[out], tensors[ctx]) for out, ctx in names]
 
 
 def run_training(out_dir, state: BackboneState, pet_cfg: PetConfig, mapnet,

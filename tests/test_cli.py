@@ -23,7 +23,7 @@ from bridgetune.cli import cli
 from bridgetune.latent_map import FitMapConfig, load_mapnet, save_mapnet
 from bridgetune.pets import PetConfig, build_pet, save_pet
 from bridgetune.pipeline import TrainConfig, evaluate, predict
-from bridgetune.snapshot import save_snapshot
+from bridgetune.snapshot import load_snapshot, save_snapshot
 from bridgetune.tasks import TaskConfig, load_jsonl, write_jsonl
 
 # ------------------------------------------------------------------ exit codes
@@ -172,7 +172,8 @@ def test_count_flag_below_minimum_exits_1_writing_nothing(argv, tmp_path,
     (["pretrain", "--steps", "2", "--corpus-size", "4"], {"model": {"num_heads": 0}},
      "num_heads must be at least 1, got 0"),
     (["pretrain", "--steps", "2", "--corpus-size", "4", "--seq-len", "33"], {},
-     "--seq-len 33 exceeds max_seq_len 32"),
+     "synthetic corpus (--seq-len 33, model config): sequence 0: "
+     "sequence length 33 outside 1 to 32"),
     (["fit-map", "--method", "pdf"], {"fitmap": {"max_steps": 0}},
      "max_steps must be at least 1, got 0"),
     (["fit-map", "--method", "sde"], {"fitmap": {"batch_size": "8"}},
@@ -720,6 +721,26 @@ def test_dataset_outside_backbone_exits_2_writing_nothing(
     assert not out.exists()
 
 
+def test_label_words_of_a_wider_vocabulary_split_train_and_score(tmp_path, capsys):
+    """The backbone owns the vocabulary: label word 100 is in a 128-token
+    one, and fewshot, which reads no backbone, passes it through."""
+    backbone = tmp_path / "backbone.bin"
+    save_backbone(backbone, init_backbone(ModelConfig(vocab_size=128),
+                                          np.random.default_rng(0)))
+    data = tmp_path / "task.jsonl"
+    data.write_text("".join(json.dumps({"tokens": [5 + i] * 6, "label_word": word}) + "\n"
+                            for i in range(4) for word in (1, 100)))
+    assert cli(["fewshot", "--data", str(data), "--k", "2", "--seeds", "1",
+                "--out", str(tmp_path / "shots")]) == 0
+    shots, out = tmp_path / "shots" / "seed0", tmp_path / "run"
+    assert cli(["train-pet", "--backbone", str(backbone), "--pet", "lora", "--steps", "2",
+                "--train", str(shots / "train.jsonl"), "--dev", str(shots / "dev.jsonl"),
+                "--out", str(out)]) == 0
+    assert cli(["eval", "--backbone", str(backbone), "--pet", str(out / "pet.bin"),
+                "--data", str(data)]) == 0
+    assert load_snapshot(out / "pet.bin")[0]["label_words"] == [1, 100]
+
+
 def test_eval_with_pet_snapshot_as_backbone_exits_2(cli_run, capsys):
     pet = str(cli_run["out"] / "pet.bin")
     assert cli(["eval", "--backbone", pet, "--pet", pet,
@@ -757,6 +778,22 @@ def test_eval_scores_a_one_class_file_with_the_training_label_words(
     value = float(capsys.readouterr().out.split(":")[1])
     assert value == pytest.approx(len(hit[:8]) / len(one_class), abs=1e-6)
     assert evaluate(world.state, pet, one_class) == 1.0
+
+
+@pytest.mark.parametrize("net, method", [("sde", "pdf"), ("pdf", "sde")])
+def test_train_pet_map_whose_method_disagrees_with_its_network_exits_2(
+        world, world_dir, cli_run, tmp_path, capsys, net, method):
+    """The map loader checks the header's method against time_augmented, so
+    an sde network under a pdf header ends in one error line, not in a
+    ShapeMismatchError traceback."""
+    bad = tmp_path / "map.bin"
+    save_mapnet(bad, {"pdf": world.pdf_map, "sde": world.sde_map}[net], method,
+                world.endpoints)
+    out = tmp_path / "run"
+    assert cli(_train_args(world_dir, cli_run["data"], out, "--method", method,
+                           "--alpha", "0.1", "--map", str(bad))) == 2
+    assert capsys.readouterr().err == f"error: {bad}: header field 'method' missing or malformed\n"
+    assert not out.exists()
 
 
 def test_train_pet_takes_sde_grid_from_map(world, world_dir, cli_run, tmp_path):
@@ -839,7 +876,8 @@ def test_analyze_single_run_not_computable(cli_run, tmp_path, capsys):
               "--out", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "not computable" in out
+    assert "pearson(alpha, centroid_distance): not computable" in out
+    assert "kendall_tau_b(alpha, centroid_distance): not computable" in out
     lines = (tmp_path / "analyze.csv").read_text().splitlines()
     assert lines[0] == "run,alpha,centroid_distance"
     assert len(lines) == 2
@@ -847,8 +885,10 @@ def test_analyze_single_run_not_computable(cli_run, tmp_path, capsys):
 
 @pytest.mark.parametrize("broken, message", [
     ("probe-is-a-backbone", "probe.bin: not a 'probe' snapshot (header kind 'backbone')"),
-    ("config-without-alpha", "config.json: train.alpha missing or not a number"),
-    ("config-alpha-nan", "config.json: train.alpha missing or not a number"),
+    ("probe-without-alpha", "probe.bin: header field 'alpha' missing or malformed"),
+    ("probe-alpha-nan", "probe.bin: header field 'alpha' missing or malformed"),
+    ("probe-alpha-string", "probe.bin: header field 'alpha' missing or malformed"),
+    ("probe-alpha-beyond-a-float", "probe.bin: header field 'alpha' missing or malformed"),
     ("probe-without-rows", "probe.bin: probe records of shapes [(0, 32)], "
                            "not one shape with at least one row"),
     ("label-outside-the-map", "probe.bin: token 99 outside the endpoint table of 64 tokens"),
@@ -863,15 +903,20 @@ def test_analyze_malformed_run_exits_2_writing_nothing(world_dir, cli_run, tmp_p
     mapnet = world_dir / ("map-sde.bin" if broken == "sde-map" else "map-pdf.bin")
     if broken == "probe-is-a-backbone":
         shutil.copy(world_dir / "backbone.bin", run / "probe.bin")
-    elif broken == "config-without-alpha":
-        (run / "config.json").write_text("{}")
-    elif broken == "config-alpha-nan":  # json writes and reads NaN
-        (run / "config.json").write_text(json.dumps({"train": {"alpha": math.nan}}))
+    elif broken.startswith("probe-alpha") or broken == "probe-without-alpha":
+        header, tensors = load_snapshot(run / "probe.bin")
+        alpha = {"probe-alpha-nan": math.nan, "probe-alpha-string": "0.0",  # json carries NaN
+                 "probe-alpha-beyond-a-float": 10 ** 400}.get(broken)
+        if alpha is None:
+            del header["alpha"]
+        else:
+            header["alpha"] = alpha
+        save_snapshot(run / "probe.bin", header, tensors)
     elif broken != "sde-map":
         label, rows, width = {"probe-without-rows": (1, 0, 32),
                               "label-outside-the-map": (99, 5, 32),
                               "probe-narrower-than-the-map": (1, 5, 16)}[broken]
-        save_snapshot(run / "probe.bin", {"kind": "probe", "labels": [label]},
+        save_snapshot(run / "probe.bin", {"kind": "probe", "alpha": 0.0, "labels": [label]},
                       {"s0.h_out": np.zeros((rows, width)), "s0.h_ctx": np.zeros((rows, width))})
     out = tmp_path / "analysis"
     assert cli(["analyze", "--runs", str(run), "--map", str(mapnet), "--out", str(out)]) == 2
@@ -895,11 +940,26 @@ def test_analyze_with_map_reports_bridge_distance(world_dir, cli_run,
     assert float(row[idx]) >= 0.0
 
 
+def test_analyze_reads_alpha_from_the_probe(world_dir, cli_run, tmp_path):
+    """A run directory holding only probe.bin analyzes to the same bytes:
+    the probe's header carries the run's alpha."""
+    run = tmp_path / "run"
+    shutil.copytree(cli_run["out"], run)
+    args = ["analyze", "--runs", str(run), "--map", str(world_dir / "map-pdf.bin")]
+    assert cli(args + ["--out", str(tmp_path / "full")]) == 0
+    for path in run.iterdir():
+        if path.name != "probe.bin":
+            path.unlink()
+    assert cli(args + ["--out", str(tmp_path / "probe-only")]) == 0
+    assert ((tmp_path / "probe-only" / "analyze.csv").read_bytes()
+            == (tmp_path / "full" / "analyze.csv").read_bytes())
+
+
 def test_analyze_pearson_over_three_runs(world_dir, cli_run, tmp_path,
                                          capsys):
     # Three alphas so the correlation is computable; recompute it from the
-    # emitted CSV with the library pearson as an oracle.
-    from bridgetune.analysis import pearson
+    # emitted CSV with the library pearson and kendall_tau_b as oracles.
+    from bridgetune.analysis import kendall_tau_b, pearson
 
     runs = []
     for alpha in ("0.1", "0.3", "0.5"):
@@ -922,6 +982,23 @@ def test_analyze_pearson_over_three_runs(world_dir, cli_run, tmp_path,
     r, _ = pearson(alphas, cds)
     shown = float(printed.split("r=")[1].split()[0])
     assert shown == pytest.approx(r, abs=5e-7)
+    tau, p = kendall_tau_b(alphas, cds)  # beside pearson, for the alpha grid's ties
+    assert f"kendall_tau_b(alpha, centroid_distance): tau={tau:.6f} p={p:.6f}" in printed
+
+
+def test_pretrain_corpus_outside_the_model_vocabulary_exits_2_writing_nothing(tmp_path,
+                                                                            capsys):
+    """The synthetic corpus uses ids up to 62: a 32-token model config is
+    refused by the corpus check fit-map runs too, before anything is written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"vocab_size": 32}}))
+    out = tmp_path / "out"
+    assert cli(["pretrain", "--steps", "2", "--corpus-size", "4", "--config", str(cfg),
+                "--out", str(out)]) == 2
+    assert re.fullmatch(r"error: synthetic (corpus|holdout) \(--seq-len 12, model config\): "
+                        r"sequence \d+: token id \d+ outside vocabulary of 32\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_pretrain_cli_smoke(tmp_path, capsys):

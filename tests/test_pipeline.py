@@ -551,8 +551,8 @@ def test_run_training_artifacts(world, tmp_path):
     d = world.config.hidden_dim
     assert tensors["s0.h_out"].shape == (L + 1, d)
     assert tensors["s0.h_ctx"].shape == (L + 1, d)
-    labels, samples = pipeline.load_probe(out / "probe.bin")
-    assert labels == header["labels"] and len(samples) == len(dev)
+    alpha, labels, samples = pipeline.load_probe(out / "probe.bin")
+    assert alpha == 0.1 and labels == header["labels"] and len(samples) == len(dev)
     for i, (h_out, h_ctx) in enumerate(samples):
         assert np.array_equal(h_out, tensors[f"s{i}.h_out"])
         assert np.array_equal(h_ctx, tensors[f"s{i}.h_ctx"])

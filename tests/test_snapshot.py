@@ -258,8 +258,9 @@ def test_loader_rejects_bad_snapshot_as_format_error(tmp_path, loader, case, mes
 @pytest.mark.parametrize("key, value", [
     ("bridge_kind", "gauss"), ("bridge_kind", None), ("q", "abc"), ("q", float("nan")),
     ("q", -1.0), ("sigma", 0), ("sigma", float("inf")), ("sigma", True),
+    ("method", "sde"), ("method", "none"),  # a pdf map's method is pdf
 ], ids=["kind-gauss", "kind-null", "q-string", "q-nan", "q-negative", "sigma-0",
-        "sigma-inf", "sigma-bool"])
+        "sigma-inf", "sigma-bool", "method-sde", "method-none"])
 def test_map_loader_rejects_bad_bridge_field(tmp_path, key, value):
     _tiny_files(tmp_path)
     header, tensors = load_snapshot(tmp_path / "map.bin")
