@@ -20,6 +20,8 @@ Lines:
   pet-lora-ou-pdf, -sde  LoRA trained on the OU maps, whose bridge it takes
   probe-<kind>         the bytes of dump_probe_traces' file, without a PET
                        and under each trained PET
+  infer-<kind>         mask_logits over a 40-sample pool of lengths 4 to 24,
+                       without a PET and under each trained PET
   world-*              with --world: build_world's backbone and both maps
 """
 
@@ -116,6 +118,13 @@ def main(argv=None):
             pipeline.dump_probe_traces(path, state, trained.get(kind), dev, {"kind": str(kind)})
             with open(path, "rb") as f:
                 emit(f"probe-{kind or 'none'}", hashlib.sha256(f.read()).hexdigest())
+
+    rng = np.random.default_rng(9)
+    pool = [(s.tokens, s.mask_position) for n in (3, 8, 12, 17, 23)
+            for s in tasks.make_task_dataset(4, n, 0.35, rng)]
+    for kind in (None, *PET_KINDS):
+        logits = backbone.mask_logits(state, pool, trained.get(kind))
+        emit(f"infer-{kind or 'none'}", digest(logits))
 
     if args.world:
         world = study.build_world(2500)

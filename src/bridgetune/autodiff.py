@@ -31,7 +31,7 @@ class MissingGradientError(KeyError):
 
 
 class NonFiniteError(FloatingPointError):
-    """A training step's loss or gradient norm is NaN or infinite."""
+    """A training step's loss or gradient norm, or a logit, is NaN or infinite."""
 
 
 _grad_enabled = True
@@ -407,8 +407,8 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(a: Tensor, *, product_cube: bool = False) -> Tensor:
     """The tanh approximation of GELU. Its cube is x ** 3, or x * x * x
     with product_cube: numpy's power takes a slow path on negative bases,
-    and the product differs in the last bits. Only packed inference, which
-    is read through an argmax, takes the product; ROADMAP item 5a has a
+    and the product differs in the last bits. Only inference (mask_logits),
+    which is read through an argmax, takes the product; ROADMAP item 5a has a
     cheap cube that keeps x ** 3's bits for the other paths. Both forms
     share one gradient rule."""
     x = a.data

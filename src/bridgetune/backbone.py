@@ -4,10 +4,9 @@ masked-position prediction head, and per-layer hidden trace extraction.
 States flow as d x N column matrices (one column per position), or as
 B x d x N stacks of B samples of one length. The trace records, for layers
 0..L, the state at the output position and the mean over all positions
-present at that layer. forward builds one sample's graph, or, in its packed
-form, runs many samples in each no-grad pass for callers that read only the
-logits (mask_logits); traces runs stacks of equal-length samples in no-grad
-passes for callers that read only the traces.
+present at that layer. forward builds one sample's graph. Callers that read
+only the traces (traces) or only the logits (mask_logits, through forward's
+packed form) run stacks of equal-length samples in no-grad passes.
 """
 
 from __future__ import annotations
@@ -189,9 +188,8 @@ def _columns(h: Tensor, cols) -> Tensor:
     return ad.gather_rows(h, cols, axis=1)
 
 
-def _attention(state: BackboneState, i: int, x: Tensor, pet, xq: Tensor, mask) -> Tensor:
-    """Keys and values from every column of x, queries from xq; mask, when
-    given, is added to the scores (one row per query column)."""
+def _attention(state: BackboneState, i: int, x: Tensor, pet, xq: Tensor) -> Tensor:
+    """Keys and values from every column of x, queries from xq."""
     cfg = state.config
     n = _layer_names(i)
     hd = cfg.hidden_dim // cfg.num_heads
@@ -215,8 +213,6 @@ def _attention(state: BackboneState, i: int, x: Tensor, pet, xq: Tensor, mask) -
     heads = cfg.num_heads
     scores = ad.scalar_mul(ad.matmul(ad.transpose(q, heads=heads),
                                      ad.slice_rows(k, heads=heads)), 1.0 / np.sqrt(hd))
-    if mask is not None:
-        scores = ad.add(scores, mask)
     weights = ad.softmax(scores, axis=-1)
     merged = ad.transpose(ad.matmul(weights, ad.transpose(v, heads=heads)), merge=True)
 
@@ -226,29 +222,29 @@ def _attention(state: BackboneState, i: int, x: Tensor, pet, xq: Tensor, mask) -
 def _ffn(state: BackboneState, i: int, x: Tensor, product_cube=False) -> Tensor:
     n = _layer_names(i)
     hidden = ad.matmul(state[n["w1"]], x, bias=state[n["b1"]])
-    # every path but packed inference calls gelu with its one argument
+    # every path but inference calls gelu with its one argument
     hidden = ad.gelu(hidden, product_cube=True) if product_cube else ad.gelu(hidden)
     return ad.matmul(state[n["w2"]], hidden, bias=state[n["b2"]])
 
 
-def _layer(state: BackboneState, i: int, h: Tensor, pet, mask=None, cols=None) -> Tensor:
+def _layer(state: BackboneState, i: int, h: Tensor, pet, cols=None,
+           product_cube=False) -> Tensor:
     """One pre-LN residual layer over the d x N states h, or over a stack
-    of them (B x d x N; only without mask and cols). With cols, the
+    of them (B x d x N). With cols, one column per sample of a stack, the
     queries, attention output, FFN and residual run only at those columns
-    (mask then has one row per column in cols) and the result is d x len(cols).
-    A mask marks packed inference, whose FFN takes GELU's product cube
-    (autodiff.gelu)."""
+    and the result is B x d x 1. product_cube marks inference, whose FFN
+    takes GELU's product cube (autodiff.gelu)."""
     names = _layer_names(i)
     x = ad.layer_norm(h, axis=-2, gain=state[names["ln1_gain"]], bias=state[names["ln1_bias"]])
     xq = x
     if cols is not None:
         xq, h = _columns(x, cols), _columns(h, cols)
-    attn = _attention(state, i, x, pet, xq, mask)
+    attn = _attention(state, i, x, pet, xq)
     if pet is not None:
         attn = pet.adapt(i, "attn", attn)
     h = ad.add(h, attn)
     x = ad.layer_norm(h, axis=-2, gain=state[names["ln2_gain"]], bias=state[names["ln2_bias"]])
-    ff = _ffn(state, i, x, mask is not None)
+    ff = _ffn(state, i, x, product_cube)
     if pet is not None:
         ff = pet.adapt(i, "ffn", ff)
     return ad.add(h, ff)
@@ -294,38 +290,38 @@ def forward(state: BackboneState, tokens, mask_position, pet=None):
 
     Packed form, for callers that read only the logits: mask_position is a
     list of (length, mask position) pairs and tokens holds those sequences
-    back to back. They then share no-grad passes of up to PACK_COLUMNS
-    columns (see _pack_logits), and forward returns (V x B logits at the B
-    mask positions, None); each column equals the one-sequence logits to
-    rounding.
+    back to back. forward then returns (V x B logits at the B mask
+    positions, None), computed by _stack_logits; each column equals the
+    one-sequence logits to rounding.
     """
     if isinstance(mask_position, (list, tuple)):
-        return _packed_logits(state, list(tokens), mask_position, pet), None
+        tokens = list(tokens)
+        starts = np.cumsum([0, *(n for n, _ in mask_position)])
+        if starts[-1] != len(tokens):
+            raise ValueError(f"layout covers {starts[-1]} tokens, got {len(tokens)}")
+        pairs = [(tokens[lo:lo + n], pos) for lo, (n, pos) in zip(starts, mask_position)]
+        return Tensor(_stack_logits(state, pairs, pet)), None
     tokens = check_input(state.config, tokens, mask_position)
     h_out, h_ctx = _encode(state, _input_states(state, tokens, pet), [mask_position], pet)
     logits = ad.matmul(state["embed"], h_out[-1])
     return logits, HiddenTrace(h_out=h_out, h_ctx=h_ctx)
 
 
-# Columns per packed inference pass, and at most per stacked trace pass. On a
-# 2-core Xeon, with GELU's cube taken as x * x * x, packs of 96 and 128
-# columns evaluated the benchmark's pool 1.14-1.35x faster than 64 (each won
-# 9 or 10 of 10 interleaved pairs over three pools) and 48 was slower; the
-# smaller of the two fast sizes keeps the N x N attention masks and the
-# ffn_dim x N temporaries small. Stacked traces gain from the cap as well: a
-# 200-sample task pool (no PET, prompt and LoRA) traced in 0.99 s with stacks
-# of at most 96 columns and 1.11 s with one stack per length (medians of 5).
+# Columns at most per stacked no-grad pass, prompt included. A 200-sample
+# task pool (no PET, prompt and LoRA) traced in 0.99 s with stacks of at most
+# 96 columns and 1.11 s with one stack per length (medians of 5); 96 was first
+# chosen for block-masked inference packs, where it beat 64 and 48.
 PACK_COLUMNS = 96
 
 
-def traces(state: BackboneState, pairs, pet=None) -> list:
-    """The HiddenTrace of each (tokens, mask_position) pair, in input order,
-    byte for byte the one forward returns, for callers that read only the
-    traces. Every pair is checked with check_input before any pass. Then
-    the samples of each length run as B x d x N stacks in no-grad passes of
-    at most PACK_COLUMNS columns (prompt included, one sample at least):
-    samples of one length need no mask, and every matrix slice of a stacked
-    op holds the bytes of the per-sample op."""
+def _stacked(state: BackboneState, pairs, pet, run) -> list:
+    """Per (tokens, mask_position) pair, in input order, its part of what
+    run(h, positions) returns for its stack. Every pair is checked with
+    check_input before any pass. The samples of each length, each given the
+    PET's input extension on its own, then run as B x d x N stacks h of at
+    most PACK_COLUMNS columns (one sample at least) in no-grad passes: one
+    length needs no mask, and each matrix slice of a stacked op holds the
+    bytes of the per-sample op."""
     pairs = [(check_input(state.config, tokens, pos), pos) for tokens, pos in pairs]
     by_length = {}
     for j, (tokens, _) in enumerate(pairs):
@@ -333,70 +329,59 @@ def traces(state: BackboneState, pairs, pet=None) -> list:
     out = [None] * len(pairs)
     with ad.no_grad():
         for group in by_length.values():
-            h = _input_states(state, np.array([pairs[j][0] for j in group]), pet).data
+            h = np.stack([_input_states(state, pairs[j][0], pet).data for j in group])
             size = max(1, PACK_COLUMNS // h.shape[-1])
             for lo in range(0, len(group), size):
                 stack = group[lo:lo + size]
-                h_out, h_ctx = _encode(state, Tensor(h[lo:lo + size]),
-                                       [pairs[j][1] for j in stack], pet)
-                for b, j in enumerate(stack):
-                    out[j] = HiddenTrace(h_out=[Tensor(t.data[b]) for t in h_out],
-                                         h_ctx=[Tensor(t.data[b]) for t in h_ctx])
+                for j, part in zip(stack, run(Tensor(h[lo:lo + size]),
+                                              [pairs[j][1] for j in stack])):
+                    out[j] = part
     return out
 
 
-def _pack_logits(state: BackboneState, pack, pet) -> np.ndarray:
-    """V x len(pack) logits of one pack of (input states, mask position):
-    the sequences side by side, attention kept inside each sequence by a
-    block-diagonal -inf mask, and the last layer run at the mask columns only."""
-    sizes = [h.data.shape[1] for h, _ in pack]
-    cols = np.cumsum([0, *sizes[:-1]]) + [pos for _, pos in pack]
-    block = np.repeat(np.arange(len(pack)), sizes)
-    mask = np.where(block[:, None] == block[None, :], 0.0, -np.inf)
-    h = ad.concat([h for h, _ in pack], axis=1)
-    state = _tuned(state, pet)
-    num_layers = state.config.num_layers
-    for i in range(num_layers - 1):
-        h = _layer(state, i, h, pet, Tensor(mask))
-    if num_layers:
-        h = _layer(state, num_layers - 1, h, pet, Tensor(mask[cols]), cols)
-    else:
-        h = _columns(h, cols)
-    return ad.matmul(state["embed"], h).data
+def traces(state: BackboneState, pairs, pet=None) -> list:
+    """The HiddenTrace of each (tokens, mask_position) pair, in input order,
+    byte for byte the one forward returns, for callers that read only the
+    traces: each stack of _stacked runs every layer (_encode)."""
+    def run(h, positions):
+        h_out, h_ctx = _encode(state, h, positions, pet)
+        return [HiddenTrace(h_out=[Tensor(t.data[b]) for t in h_out],
+                            h_ctx=[Tensor(t.data[b]) for t in h_ctx])
+                for b in range(len(positions))]
+
+    return _stacked(state, pairs, pet, run)
 
 
-def _packed_logits(state: BackboneState, tokens: list, layout, pet) -> Tensor:
-    """forward's packed form: consecutive sequences share a pass while their
-    columns (prompt included) fit in PACK_COLUMNS."""
-    if sum(n for n, _ in layout) != len(tokens):
-        raise ValueError(f"layout covers {sum(n for n, _ in layout)} tokens, "
-                         f"got {len(tokens)}")
-    out, pack, width, start = [], [], 0, 0
-    with ad.no_grad():
-        for n, mask_position in layout:
-            ids = check_input(state.config, tokens[start:start + n], mask_position)
-            h = _input_states(state, ids, pet)
-            start += n
-            if pack and width + h.data.shape[1] > PACK_COLUMNS:
-                out.append(_pack_logits(state, pack, pet))
-                pack, width = [], 0
-            pack.append((h, mask_position))
-            width += h.data.shape[1]
-        if pack:
-            out.append(_pack_logits(state, pack, pet))
-    return Tensor(np.hstack(out) if out else np.zeros((state.config.vocab_size, 0)))
+def _stack_logits(state: BackboneState, pairs, pet) -> np.ndarray:
+    """V x len(pairs) logits at the mask positions of the (tokens,
+    mask_position) pairs: on each stack of _stacked, layers 0 to L-2 over
+    every column, the last layer at the mask columns only (all with GELU's
+    product cube), then the tied head; so a column has the bytes of its
+    sample alone. NonFiniteError names the first non-finite sample."""
+    tuned = _tuned(state, pet)
+    last = state.config.num_layers - 1
+
+    def run(h, positions):
+        for i in range(last):
+            h = _layer(tuned, i, h, pet, product_cube=True)
+        h = _layer(tuned, last, h, pet, positions, True) if last >= 0 else _columns(h, positions)
+        return ad.matmul(tuned["embed"], h).data
+
+    with np.errstate(all="ignore"):  # non-finite logits raise NonFiniteError below
+        logits = np.hstack([np.zeros((state.config.vocab_size, 0)),
+                            *_stacked(state, pairs, pet, run)])
+    bad = np.flatnonzero(~np.isfinite(logits).all(axis=0))
+    if bad.size:
+        raise ad.NonFiniteError(f"non-finite logits for sample {bad[0]}")
+    return logits
 
 
 def mask_logits(state: BackboneState, inputs, pet=None) -> np.ndarray:
     """Logits at the mask position of every (tokens, mask_position) input,
     as a V x n array: one call of forward's packed form."""
-    tokens, layout = [], []
-    for seq, mask_position in inputs:
-        seq = list(seq)
-        tokens.extend(seq)
-        layout.append((len(seq), mask_position))
-    with ad.no_grad():
-        logits, _ = forward(state, tokens, layout, pet)
+    inputs = [(list(seq), pos) for seq, pos in inputs]
+    logits, _ = forward(state, [t for seq, _ in inputs for t in seq],
+                        [(len(seq), pos) for seq, pos in inputs], pet)
     return logits.data
 
 

@@ -116,8 +116,6 @@ def _load_dataset(path, state, pet_cfg: PetConfig):
     ids and label word inside the vocabulary, and its tokens plus the PET's
     prompt columns within max_seq_len."""
     samples = load_jsonl(path)
-    if not samples:
-        raise DataError(f"{path}: no samples")
     vocab, max_len = state.config.vocab_size, state.config.max_seq_len
     prompt = pet_cfg.prompt_len if pet_cfg.kind == "prompt" else 0
     for i, s in enumerate(samples):

@@ -398,7 +398,11 @@ def fit_map(state: BackboneState, samples, cfg: FitMapConfig,
 
 def save_mapnet(path, mapnet: MapNet, method: str, endpoints: EndpointTable) -> None:
     """The map, its bridge's kind, q and sigma, its sde_steps, and the
-    endpoint table."""
+    endpoint table; ValueError, before writing, unless method is sde for a
+    time-augmented map and pdf for another, as load_mapnet requires."""
+    if method != ("sde" if mapnet.time_augmented else "pdf"):
+        raise ValueError(f"method {method!r} for a map with time_augmented="
+                         f"{mapnet.time_augmented}")
     bridge = mapnet.bridge
     header = {
         "kind": "mapnet", "method": method, "dims": list(mapnet.dims),

@@ -163,7 +163,10 @@ def train_pet(state: BackboneState, pet_cfg: PetConfig, mapnet, endpoints,
         win_n += 1
 
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
-            dev_metric = evaluate(state, pet, dev_set, cfg.metric, label_words)
+            try:
+                dev_metric = evaluate(state, pet, dev_set, cfg.metric, label_words)
+            except ad.NonFiniteError as e:
+                raise ad.NonFiniteError(f"dev evaluation after step {step}: {e}") from None
             history.append({
                 "step": step,
                 "train_loss": win_loss / win_n,

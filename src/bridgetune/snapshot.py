@@ -102,11 +102,15 @@ def load_snapshot(path):
 
 
 def load_kind(path, kind: str):
-    """load_snapshot, for a snapshot whose header names the given kind."""
+    """load_snapshot, for a snapshot whose header names the given kind and
+    whose records hold only finite values."""
     header, tensors = load_snapshot(path)
     if header.get("kind") != kind:
         raise SnapshotFormatError(f"{path}: not a {kind!r} snapshot "
                                   f"(header kind {header.get('kind')!r})")
+    for name, arr in tensors.items():
+        if not np.isfinite(arr).all():
+            raise SnapshotFormatError(f"{path}: record {name!r} holds a non-finite value")
     return header, tensors
 
 

@@ -107,7 +107,7 @@ def load_jsonl(path):
     """One JSON object per line: tokens (a list of ints), label_word (an
     int), and optional mask_position (an int). Without a mask position, a
     mask token is appended and its index used. A value of another JSON type
-    (a float, string or bool) is refused, not coerced."""
+    (float, string, bool) is refused, not coerced, as is a file without samples."""
     samples = []
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -135,4 +135,6 @@ def load_jsonl(path):
             tokens = tokens + [MASK_ID]
         samples.append(TaskSample(tokens=tuple(tokens), label_word=label_word,
                                   mask_position=mask_position))
+    if not samples:
+        raise DataError(f"{path}: no samples")
     return samples

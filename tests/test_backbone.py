@@ -246,10 +246,10 @@ def test_forward_is_deterministic(tiny):
     assert np.array_equal(a.data, b.data)
 
 
-# ------------------------------------------------------------ packed inference
+# ------------------------------------------------------------ inference
 
 # Mixed lengths; 24 tokens plus the default 8 prompt columns fill
-# max_seq_len = 32, and the total spans several packs.
+# max_seq_len = 32, and the total spans several passes of PACK_COLUMNS.
 PACK_LENGTHS = (4, 24, 9, 13, 2, 17, 24, 6, 11, 20, 3, 15, 21, 8, 19, 12, 5, 23)
 
 
@@ -297,18 +297,21 @@ def test_mask_logits_match_forward(packed_world, kind):
 
 
 @pytest.mark.parametrize("kind", [None, *PET_KINDS])
-def test_mask_logits_keep_sequences_apart(packed_world, kind):
+def test_mask_logits_give_each_sample_the_bytes_of_its_own_pass(packed_world, kind):
+    # whatever runs beside it: in input order, shuffled, and with more
+    # samples of length 24 than one stack of PACK_COLUMNS columns holds
     state, inputs = packed_world
     pet = _live_pet(kind, state)
-    base = mask_logits(state, inputs, pet)
-    for j in (0, 5, len(inputs) - 1):
-        tokens, pos = inputs[j]
-        changed = list(inputs)
-        changed[j] = ([(t % 63) + 1 for t in tokens], pos)
-        got = mask_logits(state, changed, pet)
-        others = [i for i in range(len(inputs)) if i != j]
-        assert np.array_equal(got[:, others], base[:, others])
-        assert not np.array_equal(got[:, j], base[:, j])
+    prompt = pet.config.prompt_len if kind == "prompt" else 0
+    rng = np.random.default_rng(24)
+    inputs = inputs + [(list(rng.integers(1, 64, size=24)), int(rng.integers(0, 24)))
+                       for _ in range(4)]
+    assert sum(len(t) == 24 for t, _ in inputs) > PACK_COLUMNS // (24 + prompt)
+    alone = np.hstack([mask_logits(state, [x], pet) for x in inputs])
+    assert mask_logits(state, inputs, pet).tobytes() == alone.tobytes()
+    order = rng.permutation(len(inputs))
+    shuffled = mask_logits(state, [inputs[j] for j in order], pet)
+    assert shuffled.tobytes() == alone[:, order].tobytes()
 
 
 def test_mask_logits_reject_over_long_sequence_in_pack(packed_world):
@@ -327,8 +330,8 @@ def test_packed_forward_rejects_layout_not_covering_tokens(packed_world):
 
 
 def test_mask_logits_run_every_token_through_forward(packed_world, monkeypatch):
-    # Packed inference is forward's packed form, so a wrapper of forward
-    # sees every token column and every pass of inference.
+    # Inference enters through forward's packed form, so a wrapper of
+    # forward sees every token column and every call of inference.
     import bridgetune.backbone as backbone
     state, inputs = packed_world
     seen = []
@@ -392,9 +395,10 @@ def test_traces_of_nothing_and_of_a_layerless_backbone():
     state = init_backbone(cfg, np.random.default_rng(3))
     assert traces(state, []) == []
     (trace,) = traces(state, [([3, 4, 5], 1)])
-    want = forward(state, [3, 4, 5], 1)[1]
+    logits, want = forward(state, [3, 4, 5], 1)
     assert [t.data.tobytes() for t in trace.h_out + trace.h_ctx] == \
         [t.data.tobytes() for t in want.h_out + want.h_ctx]
+    assert mask_logits(state, [([3, 4, 5], 1)]).tobytes() == logits.data.tobytes()
 
 
 @pytest.mark.parametrize("bad", [

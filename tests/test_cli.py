@@ -463,6 +463,15 @@ def test_fewshot_non_integer_token_exits_2_writing_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fewshot_empty_dataset_exits_2_writing_nothing(tmp_path, capsys):
+    data = tmp_path / "empty.jsonl"
+    data.write_text("")
+    out = tmp_path / "shots"
+    assert cli(["fewshot", "--data", str(data), "--k", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {data}: no samples\n"
+    assert not out.exists()
+
+
 def test_fewshot_insufficient_pool_exits_2(tmp_path, capsys):
     assert cli(["make-task", "--per-class", "4", "--out", str(tmp_path)]) == 0
     rc = cli(["fewshot", "--data", str(tmp_path / "task.jsonl"), "--k", "5",
@@ -630,21 +639,60 @@ def test_train_pet_takes_bridge_from_map(world, world_dir, cli_run, tmp_path):
     assert "bridge_kind" not in record["train"]
 
 
-@pytest.mark.parametrize("extra, at_step", [
-    (["--lr", "1e300"], 2),
-    (["--method", "pdf", "--alpha", "1e308", "--map", "map-pdf.bin"], 1),
-], ids=["lr-1e300", "pdf-alpha-1e308"])
+EVERY_STEP = ["--steps", "5", "--eval-every", "1"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--lr", "1e300"], "non-finite training step 2: loss "),
+    (["--method", "pdf", "--alpha", "1e308", "--map", "map-pdf.bin"],
+     "non-finite training step 1: loss "),
+    (["--pet", "lora", "--lr", "1e300", *EVERY_STEP], "non-finite training step 2: loss "),
+    (["--lr", "1e300", *EVERY_STEP],
+     "dev evaluation after step 1: non-finite logits for sample 0\n"),
+], ids=["lr-1e300", "pdf-alpha-1e308", "lora-lr-1e300-evaluating-every-step",
+        "lr-1e300-evaluating-every-step"])
 def test_train_pet_non_finite_step_exits_2_writing_nothing(world_dir, cli_run, tmp_path,
-                                                           capsys, extra, at_step):
+                                                           capsys, extra, message):
+    """Inference runs under an errstate of its own, so the error line is all
+    that reaches stderr, also when a dev evaluation runs between steps."""
     extra = [str(world_dir / a) if a.endswith(".bin") else a for a in extra]
     out = tmp_path / "run"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli(_train_args(world_dir, cli_run["data"], out, *extra)) == 2
     err = capsys.readouterr().err
-    assert f"non-finite training step {at_step}: loss " in err
-    assert "RuntimeWarning" not in err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["backbone", "pet", "map", "probe"])
+def test_non_finite_snapshot_record_exits_2_writing_nothing(world_dir, cli_run, tmp_path,
+                                                            capsys, kind):
+    """A NaN in any record of any snapshot kind is refused at load, naming
+    the file and the record (eval used to score a NaN pet.bin 0.5)."""
+    run = tmp_path / "run"
+    shutil.copytree(cli_run["out"], run)
+    shutil.copy(world_dir / "backbone.bin", tmp_path / "backbone.bin")
+    shutil.copy(world_dir / "map-pdf.bin", tmp_path / "map.bin")
+    path = {"backbone": tmp_path / "backbone.bin", "pet": run / "pet.bin",
+            "map": tmp_path / "map.bin", "probe": run / "probe.bin"}[kind]
+    header, tensors = load_snapshot(path)
+    name = list(tensors)[-1]
+    tensors[name].flat[-1] = math.nan
+    save_snapshot(path, header, tensors)
+    out = tmp_path / "out"
+    if kind in ("backbone", "pet"):
+        argv = ["eval", "--backbone", str(tmp_path / "backbone.bin"),
+                "--pet", str(run / "pet.bin"), "--data", str(cli_run["data"]["dev"])]
+    else:
+        argv = ["analyze", "--runs", str(run), "--map", str(tmp_path / "map.bin"),
+                "--out", str(out)]
+    assert cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: record {name!r} holds a non-finite value\n"
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -782,13 +830,14 @@ def test_eval_scores_a_one_class_file_with_the_training_label_words(
 
 @pytest.mark.parametrize("net, method", [("sde", "pdf"), ("pdf", "sde")])
 def test_train_pet_map_whose_method_disagrees_with_its_network_exits_2(
-        world, world_dir, cli_run, tmp_path, capsys, net, method):
+        world_dir, cli_run, tmp_path, capsys, net, method):
     """The map loader checks the header's method against time_augmented, so
     an sde network under a pdf header ends in one error line, not in a
     ShapeMismatchError traceback."""
+    header, tensors = load_snapshot(world_dir / f"map-{net}.bin")
+    header["method"] = method  # save_mapnet refuses to write this
     bad = tmp_path / "map.bin"
-    save_mapnet(bad, {"pdf": world.pdf_map, "sde": world.sde_map}[net], method,
-                world.endpoints)
+    save_snapshot(bad, header, tensors)
     out = tmp_path / "run"
     assert cli(_train_args(world_dir, cli_run["data"], out, "--method", method,
                            "--alpha", "0.1", "--map", str(bad))) == 2

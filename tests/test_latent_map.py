@@ -568,3 +568,12 @@ def test_mapnet_save_load_round_trip(world, tmp_path):
 def test_load_mapnet_rejects_other_snapshots(world_dir):
     with pytest.raises(SnapshotFormatError, match="not a 'mapnet' snapshot"):
         load_mapnet(world_dir / "backbone.bin")
+
+
+@pytest.mark.parametrize("net, method", [("sde", "pdf"), ("pdf", "sde"), ("pdf", "none")])
+def test_save_mapnet_refuses_a_method_its_network_contradicts(world, tmp_path, net, method):
+    path = tmp_path / "map.bin"
+    with pytest.raises(ValueError, match=f"method '{method}' for a map with time_augmented"):
+        save_mapnet(path, {"pdf": world.pdf_map, "sde": world.sde_map}[net], method,
+                    world.endpoints)
+    assert not path.exists()

@@ -15,7 +15,7 @@ import bridgetune.pipeline as pipeline
 from bridgetune import backbone, bridges, latent_map
 from bridgetune.backbone import checksum, forward
 from bridgetune.latent_map import goodness_pdf, goodness_sde
-from bridgetune.pets import PetConfig, build_pet, load_pet
+from bridgetune.pets import PET_KINDS, PetConfig, build_pet, load_pet
 from bridgetune.pipeline import (TrainConfig, evaluate, fewshot_split,
                                  run_training, total_loss, train_pet,
                                  write_csv)
@@ -318,9 +318,9 @@ def _gelu_cube_paths(world, path, tmp_path):
         backbone.masked_accuracy(world.state, fit)
 
 
-# The GELU cube each path takes, as (cube, whether packed inference made the
-# call): x ** 3 ("power") wherever floats are trained or stored, x * x * x
-# ("product") in packed inference alone, which is read only through an argmax.
+# The GELU cube each path takes, as (cube, whether inference made the call):
+# x ** 3 ("power") wherever floats are trained or stored, x * x * x
+# ("product") in inference alone, which is read only through an argmax.
 GELU_CUBES = {
     "pretrain_mlm": {("power", False)},
     **{f"train_pet-{m}": {("power", False), ("product", True)} for m in ("none", "pdf", "sde")},
@@ -337,27 +337,35 @@ GELU_CUBES = {
 def test_only_packed_inference_takes_the_product_cube(world, monkeypatch, tmp_path, path):
     # train_pet's training forwards take x ** 3 and its dev evaluations
     # x * x * x, so its trained floats do not depend on the product form.
-    calls, packing = [], [False]
-    gelu, pack = ad.gelu, backbone._pack_logits
+    calls, inferring = [], [False]
+    gelu, infer = ad.gelu, backbone._stack_logits
 
     def recording_gelu(a, **kw):
         # a call with any other keywords than these two forms records them
         cube = {(): "power", (("product_cube", True),): "product"}.get(tuple(kw.items()),
                                                                       repr(kw))
-        calls.append((cube, packing[0]))
+        calls.append((cube, inferring[0]))
         return gelu(a, **kw)
 
-    def flagged_pack(*args):
-        packing[0] = True
+    def flagged_infer(*args):
+        inferring[0] = True
         try:
-            return pack(*args)
+            return infer(*args)
         finally:
-            packing[0] = False
+            inferring[0] = False
 
     monkeypatch.setattr(ad, "gelu", recording_gelu)
-    monkeypatch.setattr(backbone, "_pack_logits", flagged_pack)
+    monkeypatch.setattr(backbone, "_stack_logits", flagged_infer)
     _gelu_cube_paths(world, path, tmp_path)
     assert set(calls) == GELU_CUBES[path]
+
+
+@pytest.mark.parametrize("kind", PET_KINDS)
+def test_evaluate_refuses_non_finite_logits(world, kind):
+    pet = build_pet(PetConfig(kind=kind), world.state, np.random.default_rng(0))
+    list(pet.tensors.values())[-1].data.flat[-1] = np.nan
+    with pytest.raises(ad.NonFiniteError, match="non-finite logits for sample 0"):
+        evaluate(world.state, pet, world.pool[:6])
 
 
 def test_evaluate_on_real_backbone_deterministic(world):
